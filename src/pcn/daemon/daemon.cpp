@@ -176,18 +176,17 @@ void Pcnd::ingest_phase() {
 
 void Pcnd::apply_update(int shard, const proto::LocationUpdate& update) {
   PCN_ASSERT(terminal_shard_of(update.terminal_id) == shard);
-  auto& db = terminals_[static_cast<std::size_t>(shard)];
-  auto [it, inserted] = db.try_emplace(update.terminal_id);
-  TerminalState& state = it->second;
-  if (!inserted && update.sequence <= state.sequence) {
+  auto [state, inserted] = terminals_[static_cast<std::size_t>(shard)]
+                               .try_emplace(terminal_key(update.terminal_id));
+  if (!inserted && update.sequence <= state->sequence) {
     // Duplicate or reordered frame on a lossy air interface: the stored
     // state is newer, keep it.
     updates_stale_.add(1, static_cast<std::size_t>(shard));
     return;
   }
-  state.center = update.cell;
-  state.sequence = update.sequence;
-  state.radius = update.containment_radius;
+  state->center = update.cell;
+  state->sequence = update.sequence;
+  state->radius = update.containment_radius;
   updates_applied_.add(1, static_cast<std::size_t>(shard));
 }
 
@@ -196,9 +195,10 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
                       SlotWorkload* workload, detail::SeqTracker* tracker) {
   PCN_ASSERT(terminal_shard_of(terminal_id) == shard);
   const std::uint32_t run = tracker->next(terminal_id);
-  const auto& db = terminals_[static_cast<std::size_t>(shard)];
-  const auto it = db.find(terminal_id);
-  if (it == db.end()) {
+  const TerminalTable::Entry* state =
+      terminals_[static_cast<std::size_t>(shard)].find(
+          terminal_key(terminal_id));
+  if (state == nullptr) {
     // No center cell on file: the page has nowhere to go.  Verdict now,
     // in the apply phase, owned by the terminal shard's worker.
     pages_unknown_.add(1, static_cast<std::size_t>(shard));
@@ -217,9 +217,9 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
     }
     return;
   }
-  const int qs = queue_shard_of(it->second.center);
+  const int qs = queue_shard_of(state->center);
   intents_[static_cast<std::size_t>(shard)][static_cast<std::size_t>(qs)]
-      .push_back({it->second.center, terminal_id, page_id, client});
+      .push_back({state->center, terminal_id, page_id, client});
 }
 
 void Pcnd::apply_phase(int worker, int worker_count, std::int64_t slot,
@@ -662,16 +662,22 @@ std::vector<std::int64_t> Pcnd::delay_histogram() const {
 
 std::size_t Pcnd::terminal_count() const {
   std::size_t total = 0;
-  for (const auto& db : terminals_) total += db.size();
+  for (const TerminalTable& table : terminals_) total += table.size();
+  return total;
+}
+
+std::size_t Pcnd::terminal_slots() const {
+  std::size_t total = 0;
+  for (const TerminalTable& table : terminals_) total += table.capacity();
   return total;
 }
 
 Pcnd::TerminalInfo Pcnd::terminal_info(std::uint64_t terminal_id) const {
-  const auto& db =
-      terminals_[static_cast<std::size_t>(terminal_shard_of(terminal_id))];
-  const auto it = db.find(terminal_id);
-  if (it == db.end()) return {};
-  return {true, it->second.center, it->second.sequence, it->second.radius};
+  const TerminalTable::Entry* state =
+      terminals_[static_cast<std::size_t>(terminal_shard_of(terminal_id))]
+          .find(terminal_key(terminal_id));
+  if (state == nullptr) return {};
+  return {true, state->center, state->sequence, state->radius};
 }
 
 std::int64_t Pcnd::queue_depth(geometry::Cell cell) const {

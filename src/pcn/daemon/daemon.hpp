@@ -15,10 +15,12 @@
 // request sets.  The design that buys this:
 //
 //   * Two fixed shard counts, independent of the thread count: terminal
-//     state lives in `terminal_shards` maps keyed by terminal_id mod the
-//     shard count, and cell queues live in `queue_shards` maps keyed by a
-//     cell hash.  Threads own shards (shard s -> worker s % T), never
-//     split them.
+//     state lives in `terminal_shards` flat tables (terminal_table.hpp),
+//     terminal_id mod the shard count picking the table and terminal_id
+//     divided by it the key, and cell queues live in `queue_shards` maps
+//     keyed by a cell hash.  Threads own shards (shard s -> worker s % T),
+//     never split them.  Storage order never drives processing order:
+//     APPLY walks the sorted batch, then the workload's increasing ids.
 //   * A slot is three barrier-separated phases.  INGEST (serial, in the
 //     barrier completion): drain the ring once, stable-sort the batch by
 //     (terminal, kind, sequence, page), bucket per terminal shard.
@@ -48,6 +50,7 @@
 #include "pcn/daemon/delay_planner.hpp"
 #include "pcn/daemon/paging_queue.hpp"
 #include "pcn/daemon/request_ring.hpp"
+#include "pcn/daemon/terminal_table.hpp"
 #include "pcn/geometry/cell.hpp"
 #include "pcn/obs/flight_recorder.hpp"
 #include "pcn/obs/metrics.hpp"
@@ -229,6 +232,8 @@ class Pcnd {
     std::uint32_t radius = 0;
   };
   TerminalInfo terminal_info(std::uint64_t terminal_id) const;
+  /// Slots allocated across the terminal tables; O(terminal_count()).
+  std::size_t terminal_slots() const;
   /// Pending pages in `cell`'s queue (0 when the cell has no queue yet).
   std::int64_t queue_depth(geometry::Cell cell) const;
   /// Largest queue depth ever observed after an enqueue.
@@ -256,12 +261,6 @@ class Pcnd {
 
  private:
   friend class RequestSink;
-
-  struct TerminalState {
-    geometry::Cell center{};
-    std::uint64_t sequence = 0;
-    std::uint32_t radius = 0;
-  };
 
   struct PageIntent {
     geometry::Cell cell{};
@@ -298,6 +297,10 @@ class Pcnd {
     return static_cast<int>(
         terminal_id % static_cast<std::uint64_t>(config_.terminal_shards));
   }
+  /// Key within the terminal's shard table.
+  std::uint64_t terminal_key(std::uint64_t terminal_id) const {
+    return terminal_id / static_cast<std::uint64_t>(config_.terminal_shards);
+  }
   int queue_shard_of(geometry::Cell cell) const {
     return static_cast<int>(CellHash{}(cell) %
                             static_cast<std::size_t>(config_.queue_shards));
@@ -330,7 +333,7 @@ class Pcnd {
   std::int64_t published_widens_ = 0;
   std::int64_t published_narrows_ = 0;
 
-  std::vector<std::unordered_map<std::uint64_t, TerminalState>> terminals_;
+  std::vector<TerminalTable> terminals_;  ///< [terminal shard]
   /// intents_[terminal_shard][queue_shard]: pages routed this slot.
   std::vector<std::vector<std::vector<PageIntent>>> intents_;
   std::vector<QueueShard> queue_shards_;

@@ -18,9 +18,7 @@ ClosedLoopWorkload::ClosedLoopWorkload(const ClosedLoopConfig& config)
     : config_(config),
       rng_(stats::CounterRng::keyed(config.seed, /*salt=*/0x70636e64u)),
       move_threshold_(stats::threshold32(config.move_prob)),
-      call_threshold_(stats::threshold32(config.call_prob)),
-      states_(config.terminals),
-      outstanding_(config.terminals, 0) {
+      call_threshold_(stats::threshold32(config.call_prob)) {
   PCN_EXPECT(config_.terminals >= 1,
              "ClosedLoopWorkload: terminals must be >= 1");
   PCN_EXPECT(config_.region >= 1, "ClosedLoopWorkload: region must be >= 1");
@@ -30,16 +28,30 @@ ClosedLoopWorkload::ClosedLoopWorkload(const ClosedLoopConfig& config)
              "ClosedLoopWorkload: call_prob must be in [0, 1]");
   PCN_EXPECT(config_.threshold >= 1,
              "ClosedLoopWorkload: threshold must be >= 1");
-  // Deterministic initial scatter across the torus.
+}
+
+void ClosedLoopWorkload::lay_out(int shard_count) {
+  shard_count_ = shard_count;
+  const auto stride = static_cast<std::uint64_t>(shard_count);
   const auto region = static_cast<std::int64_t>(config_.region);
-  for (std::uint64_t t = 0; t < config_.terminals; ++t) {
-    TerminalState& state = states_[t];
-    const auto id = static_cast<std::int64_t>(t);
-    state.position.q = id % region;
-    state.position.r = config_.dimension == Dimension::kOneD
-                           ? 0
-                           : (id / region) % region;
-    state.reported = state.position;
+  shards_.resize(static_cast<std::size_t>(shard_count));
+  for (std::uint64_t s = 0; s < stride; ++s) {
+    Shard& shard = shards_[s];
+    const std::uint64_t count =
+        s < config_.terminals ? (config_.terminals - s + stride - 1) / stride
+                              : 0;
+    shard.states.resize(count);
+    shard.in_flight.assign(count, kIdle);
+    // Deterministic initial scatter across the torus.
+    for (std::uint64_t i = 0; i < count; ++i) {
+      TerminalState& state = shard.states[i];
+      const auto id = static_cast<std::int64_t>(s + i * stride);
+      state.position.q = id % region;
+      state.position.r = config_.dimension == Dimension::kOneD
+                             ? 0
+                             : (id / region) % region;
+      state.reported = state.position;
+    }
   }
 }
 
@@ -53,14 +65,23 @@ geometry::Cell ClosedLoopWorkload::wrapped(geometry::Cell cell) const {
 
 void ClosedLoopWorkload::generate(int shard, int shard_count,
                                   std::int64_t slot, RequestSink& sink) {
+  std::call_once(layout_once_, [&] { lay_out(shard_count); });
+  PCN_EXPECT(shard_count == shard_count_,
+             "ClosedLoopWorkload: shard_count must not change between "
+             "generate calls");
+  Shard& local = shards_[static_cast<std::size_t>(shard)];
   const auto n = config_.terminals;
   const bool one_d = config_.dimension == Dimension::kOneD;
-  for (auto t = static_cast<std::uint64_t>(shard); t < n;
-       t += static_cast<std::uint64_t>(shard_count)) {
-    TerminalState& state = states_[t];
+  std::int64_t updates = 0;
+  std::int64_t pages = 0;
+  auto t = static_cast<std::uint64_t>(shard);
+  for (std::size_t i = 0; i < local.states.size();
+       ++i, t += static_cast<std::uint64_t>(shard_count)) {
+    TerminalState& state = local.states[i];
     const stats::PhiloxWords draw =
         rng_.block(t, static_cast<std::uint64_t>(slot));
 
+    bool moved = false;
     if (state.registered && draw[0] < move_threshold_) {
       if (one_d) {
         state.position.q += (draw[1] & 1u) != 0 ? 1 : -1;
@@ -68,13 +89,16 @@ void ClosedLoopWorkload::generate(int shard, int shard_count,
         state.position = geometry::hex_add(
             state.position, geometry::hex_directions()[draw[1] % 6]);
       }
+      moved = true;
     }
 
+    // A terminal that did not move kept its distance from the reported
+    // position, which was already below d.
     const bool must_update =
         !state.registered ||
-        geometry::cell_distance(config_.dimension, state.position,
-                                state.reported) >=
-            static_cast<std::int64_t>(config_.threshold);
+        (moved && geometry::cell_distance(config_.dimension, state.position,
+                                          state.reported) >=
+                      static_cast<std::int64_t>(config_.threshold));
     if (must_update) {
       proto::LocationUpdate update;
       update.terminal_id = t;
@@ -85,46 +109,71 @@ void ClosedLoopWorkload::generate(int shard, int shard_count,
       sink.update(update);
       state.reported = state.position;
       state.registered = true;
-      updates_sent_.fetch_add(1, std::memory_order_relaxed);
+      ++updates;
     }
 
-    if (outstanding_[t] == 0 && draw[2] < call_threshold_) {
-      outstanding_[t] = 1;
+    std::uint8_t& flight = local.in_flight[i];
+    if (flight != kInFlight && draw[2] < call_threshold_) {
+      if (flight != kIdle) ++local.settled[flight - kSettled];
+      flight = kInFlight;
       ++state.page_ordinal;
       const std::uint64_t page_id = state.page_ordinal * n + t + 1;
       sink.page(page_id, t);
-      pages_submitted_.fetch_add(1, std::memory_order_relaxed);
+      ++pages;
     }
   }
+  local.updates_sent += updates;
+  local.pages_submitted += pages;
 }
 
 void ClosedLoopWorkload::on_outcome(std::uint64_t terminal_id,
                                     proto::PageOutcomeKind kind,
                                     std::int64_t /*slot*/) {
-  PCN_ASSERT(terminal_id < config_.terminals);
-  PCN_ASSERT(outstanding_[terminal_id] != 0);
-  outstanding_[terminal_id] = 0;
-  switch (kind) {
-    case proto::PageOutcomeKind::kServed:
-      served_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case proto::PageOutcomeKind::kDropped:
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case proto::PageOutcomeKind::kExpired:
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case proto::PageOutcomeKind::kRejected:
-      // Only socket-fed loops see this (a full request ring answers the
-      // submit immediately); the terminal is free to page again.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      break;
+  PCN_ASSERT(terminal_id < config_.terminals && shard_count_ > 0);
+  const auto stride = static_cast<std::uint64_t>(shard_count_);
+  std::uint8_t& flight =
+      shards_[terminal_id % stride].in_flight[terminal_id / stride];
+  PCN_ASSERT(flight == kInFlight);
+  // kRejected only reaches socket-fed loops (a full request ring answers
+  // the submit immediately); like any verdict it frees the terminal.
+  const auto kind_index = static_cast<std::uint8_t>(kind) - 1u;
+  PCN_ASSERT(kind_index < kOutcomeKinds);
+  flight = static_cast<std::uint8_t>(kSettled + kind_index);
+}
+
+std::int64_t ClosedLoopWorkload::pages_submitted() const {
+  std::int64_t total = 0;
+  for (const Shard& shard : shards_) total += shard.pages_submitted;
+  return total;
+}
+
+std::int64_t ClosedLoopWorkload::updates_sent() const {
+  std::int64_t total = 0;
+  for (const Shard& shard : shards_) total += shard.updates_sent;
+  return total;
+}
+
+std::int64_t ClosedLoopWorkload::outcome_count(
+    proto::PageOutcomeKind kind) const {
+  const auto kind_index = static_cast<std::size_t>(kind) - 1;
+  const auto parked = static_cast<std::uint8_t>(kSettled + kind_index);
+  std::int64_t count = 0;
+  for (const Shard& shard : shards_) {
+    count += shard.settled[kind_index];
+    for (const std::uint8_t flight : shard.in_flight) {
+      count += flight == parked ? 1 : 0;
+    }
   }
+  return count;
 }
 
 std::int64_t ClosedLoopWorkload::outstanding_count() const {
   std::int64_t count = 0;
-  for (const std::uint8_t flag : outstanding_) count += flag != 0 ? 1 : 0;
+  for (const Shard& shard : shards_) {
+    for (const std::uint8_t flight : shard.in_flight) {
+      count += flight == kInFlight ? 1 : 0;
+    }
+  }
   return count;
 }
 

@@ -16,6 +16,17 @@
 // terminals t with t % shard_count == shard, in increasing t, as the
 // SlotWorkload contract requires.
 //
+// Layout.  Per-terminal state is stored per terminal shard: terminal t
+// lives at index t / shard_count of shard t % shard_count's arrays, laid
+// out by the first `generate` call with the daemon's shard count.  A
+// worker's shards are then contiguous memory no other worker writes in
+// APPLY, and the walk in increasing t is a linear scan.  Tallies are
+// shard-local plain integers: `generate` adds its request counts once per
+// call, and a verdict is parked in the terminal's in-flight byte and
+// folded into its shard's tally when the terminal next pages (the
+// accessors add the parked ones), so no per-request or per-outcome write
+// is shared across workers.
+//
 // Offered load.  Per slot each idle terminal pages with probability
 // `call_prob`; total offered paging load is roughly
 // terminals * call_prob pages/slot spread over ~region^2 cells (region^2
@@ -24,8 +35,9 @@
 // the capacity knee.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "pcn/daemon/daemon.hpp"
@@ -61,23 +73,19 @@ class ClosedLoopWorkload final : public SlotWorkload {
                   std::int64_t slot) override;
 
   // --- workload-side tallies (exact; safe to read between run_slots) ---
-  std::int64_t pages_submitted() const {
-    return pages_submitted_.load(std::memory_order_relaxed);
-  }
-  std::int64_t updates_sent() const {
-    return updates_sent_.load(std::memory_order_relaxed);
-  }
+  std::int64_t pages_submitted() const;
+  std::int64_t updates_sent() const;
   std::int64_t outcomes_served() const {
-    return served_.load(std::memory_order_relaxed);
+    return outcome_count(proto::PageOutcomeKind::kServed);
   }
   std::int64_t outcomes_dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
+    return outcome_count(proto::PageOutcomeKind::kDropped);
   }
   std::int64_t outcomes_expired() const {
-    return expired_.load(std::memory_order_relaxed);
+    return outcome_count(proto::PageOutcomeKind::kExpired);
   }
   std::int64_t outcomes_rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
+    return outcome_count(proto::PageOutcomeKind::kRejected);
   }
   /// Terminals with a page still in flight.
   std::int64_t outstanding_count() const;
@@ -91,25 +99,39 @@ class ClosedLoopWorkload final : public SlotWorkload {
     bool registered = false;
   };
 
+  /// In-flight byte of a terminal: idle, a page in flight, or
+  /// kSettled + (kind - 1) for a verdict not yet folded into the tally.
+  static constexpr std::uint8_t kIdle = 0;
+  static constexpr std::uint8_t kInFlight = 1;
+  static constexpr std::uint8_t kSettled = 2;
+  static constexpr std::size_t kOutcomeKinds = 4;
+
+  /// One terminal shard's slice of the fleet, index = terminal / shard
+  /// count.  Aligned so neighbouring shards' tallies share no line.
+  struct alignas(64) Shard {
+    std::vector<TerminalState> states;
+    /// Plain bytes, not atomics: for one terminal the daemon's phase
+    /// barriers order every access (generate in APPLY, the verdict in
+    /// APPLY or a later DRAIN), and closed loop means at most one verdict
+    /// per slot.
+    std::vector<std::uint8_t> in_flight;
+    std::int64_t pages_submitted = 0;
+    std::int64_t updates_sent = 0;
+    /// Folded verdicts, index = kind - 1.
+    std::array<std::int64_t, kOutcomeKinds> settled{};
+  };
+
   geometry::Cell wrapped(geometry::Cell cell) const;
+  void lay_out(int shard_count);
+  std::int64_t outcome_count(proto::PageOutcomeKind kind) const;
 
   ClosedLoopConfig config_;
   stats::CounterRng rng_;
   std::uint32_t move_threshold_;
   std::uint32_t call_threshold_;
-  std::vector<TerminalState> states_;
-  /// outstanding_[t] != 0 while terminal t has a page in flight.  Plain
-  /// bytes, not atomics: for one terminal the daemon's phase barriers
-  /// order every access (generate in APPLY, the verdict in APPLY or a
-  /// later DRAIN), and closed loop means at most one verdict per slot.
-  std::vector<std::uint8_t> outstanding_;
-
-  std::atomic<std::int64_t> pages_submitted_{0};
-  std::atomic<std::int64_t> updates_sent_{0};
-  std::atomic<std::int64_t> served_{0};
-  std::atomic<std::int64_t> dropped_{0};
-  std::atomic<std::int64_t> expired_{0};
-  std::atomic<std::int64_t> rejected_{0};
+  std::once_flag layout_once_;
+  int shard_count_ = 0;  ///< fixed by the first generate call
+  std::vector<Shard> shards_;
 };
 
 }  // namespace pcn::daemon

@@ -62,6 +62,125 @@ TEST(Pcnd, UpdateRegistersTerminalAndSequenceDedups) {
   EXPECT_FALSE(daemon.terminal_info(8).known);
 }
 
+/// Ids that defeat an id-indexed or low-bit-hashed terminal DB: the
+/// extremes of the 64-bit range, the top bit set, 2^32 strides (equal
+/// low words), and dense ids interleaved with all of them.
+std::vector<std::uint64_t> hostile_ids() {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  std::vector<std::uint64_t> ids = {0, ~std::uint64_t{0},
+                                    ~std::uint64_t{0} - 1};
+  for (std::uint64_t k = 0; k < 24; ++k) {
+    ids.push_back(kTop + k);
+    ids.push_back((k + 1) << 32);
+    ids.push_back(k + 1);
+    ids.push_back(((k + 1) << 32) + 7);
+    // One residue mod 16, so one shard's table holds the top keys.
+    ids.push_back(~std::uint64_t{0} - 2 - k * 16);
+  }
+  return ids;
+}
+
+geometry::Cell cell_for(std::uint64_t id) {
+  return {static_cast<std::int64_t>(id % 97),
+          -static_cast<std::int64_t>((id >> 40) % 89)};
+}
+
+TEST(Pcnd, TerminalDbServesHostileIds) {
+  for (const int shards : {1, 7, 16}) {
+    SCOPED_TRACE("terminal_shards=" + std::to_string(shards));
+    PcndConfig config = base_config();
+    config.terminal_shards = shards;
+    Pcnd daemon(config);
+    const std::vector<std::uint64_t> ids = hostile_ids();
+    for (const std::uint64_t id : ids) {
+      ASSERT_TRUE(daemon.submit(update_request(id, 5, cell_for(id))));
+    }
+    daemon.run_slots(1);
+    ASSERT_EQ(daemon.terminal_count(), ids.size());
+
+    // Stale (lower) and duplicate (equal) sequences are dropped; a newer
+    // one moves the terminal.
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::uint64_t id = ids[i];
+      const std::uint64_t sequence = i % 3 == 0 ? 4 : i % 3 == 1 ? 5 : 6;
+      ASSERT_TRUE(
+          daemon.submit(update_request(id, sequence, cell_for(id + 1))));
+    }
+    // Pages: every registered id, plus ids that are only neighbours of
+    // registered ones (same low word, same shard residue, off by one).
+    const std::vector<std::uint64_t> unknown = {
+        std::uint64_t{1} << 40, (std::uint64_t{1} << 63) + 1000,
+        (std::uint64_t{3} << 32) + 1, 25, ~std::uint64_t{0} - 3};
+    std::uint64_t page_id = 1;
+    for (const std::uint64_t id : ids) {
+      ASSERT_TRUE(daemon.submit(page_request(page_id++, id)));
+    }
+    for (const std::uint64_t id : unknown) {
+      ASSERT_TRUE(daemon.submit(page_request(page_id++, id)));
+    }
+    daemon.run_slots(1);
+
+    EXPECT_EQ(daemon.terminal_count(), ids.size());
+    std::int64_t newer = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const Pcnd::TerminalInfo info = daemon.terminal_info(ids[i]);
+      ASSERT_TRUE(info.known) << ids[i];
+      const bool moved = i % 3 == 2;
+      newer += moved ? 1 : 0;
+      EXPECT_EQ(info.sequence, moved ? 6u : 5u) << ids[i];
+      EXPECT_EQ(info.center, cell_for(moved ? ids[i] + 1 : ids[i])) << ids[i];
+      EXPECT_EQ(info.radius, 2u);
+    }
+    for (const std::uint64_t id : unknown) {
+      EXPECT_FALSE(daemon.terminal_info(id).known) << id;
+    }
+
+    const obs::MetricsSnapshot snapshot =
+        daemon.metrics_registry().snapshot();
+    const auto total = static_cast<std::int64_t>(ids.size());
+    EXPECT_EQ(snapshot.counter_value("daemon.update.applied"), total + newer);
+    EXPECT_EQ(snapshot.counter_value("daemon.update.stale"), total - newer);
+    EXPECT_EQ(snapshot.counter_value("daemon.page.unknown_terminal"),
+              static_cast<std::int64_t>(unknown.size()));
+    EXPECT_EQ(snapshot.counter_value("daemon.page.queued") +
+                  snapshot.counter_value("daemon.page.dropped"),
+              total);
+  }
+}
+
+TEST(Pcnd, TerminalDbMemoryFollowsTerminalsNotIds) {
+  // A lone terminal at 2^63 costs one minimal table, not an id-sized
+  // array.
+  Pcnd daemon(base_config());
+  EXPECT_EQ(daemon.terminal_slots(), 0u);
+  ASSERT_TRUE(daemon.submit(
+      update_request(std::uint64_t{1} << 63, 1, {0, 0})));
+  daemon.run_slots(1);
+  EXPECT_EQ(daemon.terminal_count(), 1u);
+  EXPECT_LE(daemon.terminal_slots(), 16u);
+
+  // Sparse ids stay O(count) too: at most 16 slots per table or 16/7
+  // slots per entry (load factor 7/8 after a doubling).  2^63 is among
+  // them, now a stale repeat.
+  const std::vector<std::uint64_t> ids = hostile_ids();
+  for (const std::uint64_t id : ids) {
+    ASSERT_TRUE(daemon.submit(update_request(id, 1, {0, 0})));
+  }
+  daemon.run_slots(1);
+  const std::size_t count = daemon.terminal_count();
+  EXPECT_EQ(count, ids.size());
+  EXPECT_LE(daemon.terminal_slots(), 16u * 16u + count * 16u / 7u);
+
+  // Dense ids are stored with no slack beyond the doubling.
+  Pcnd dense(base_config());
+  for (std::uint64_t id = 0; id < 4096; ++id) {
+    ASSERT_TRUE(dense.submit(update_request(id, 1, {0, 0})));
+  }
+  dense.run_slots(1);
+  EXPECT_EQ(dense.terminal_count(), 4096u);
+  EXPECT_LE(dense.terminal_slots(), 2u * 4096u);
+}
+
 TEST(Pcnd, PageForKnownTerminalIsServed) {
   PcndConfig config = base_config();
   config.sla_delay_slots = 4;
@@ -302,6 +421,71 @@ TEST(Pcnd, BitIdenticalResultsAcrossThreadCounts) {
   EXPECT_EQ(one, five);
   // Sanity: the scenario actually exercised the overload paths.
   EXPECT_NE(one.find("daemon.page.served"), std::string::npos);
+}
+
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// A 2x-overloaded closed-loop run at pin scale: every counter (wall
+/// time aside), the exact delay histogram, the sampled flight trace and
+/// every generator tally, in one string.
+std::string pinned_run(int threads) {
+  PcndConfig config;
+  config.threads = threads;
+  config.capacity = capacity::PagingCapacityModel(2, 1.0);
+  config.queue.max_pending = 16;
+  config.queue.lifetime_slots = 24;
+  config.sla_delay_slots = 8;
+  config.record_flight = true;
+  config.flight_sample_every = 16;
+  Pcnd daemon(config);
+
+  ClosedLoopConfig workload_config;
+  workload_config.seed = 2024;
+  workload_config.terminals = 20'000;
+  workload_config.region = 16;
+  workload_config.call_prob = 0.05;  // 1000 pages/slot vs 512 capacity
+  ClosedLoopWorkload workload(workload_config);
+  daemon.run_slots(200, &workload);
+
+  std::string out;
+  const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
+  for (const auto& counter : snapshot.counters) {
+    if (counter.name == "daemon.run.wall_ns") continue;
+    out += counter.name + "=" + std::to_string(counter.value) + "\n";
+  }
+  for (const std::int64_t count : daemon.delay_histogram()) {
+    out += std::to_string(count) + ",";
+  }
+  out += "\n";
+  out += obs::to_trace_jsonl({}, daemon.flight_recorder()->merged());
+  out += "submitted=" + std::to_string(workload.pages_submitted()) +
+         " updates=" + std::to_string(workload.updates_sent()) +
+         " served=" + std::to_string(workload.outcomes_served()) +
+         " dropped=" + std::to_string(workload.outcomes_dropped()) +
+         " expired=" + std::to_string(workload.outcomes_expired()) +
+         " rejected=" + std::to_string(workload.outcomes_rejected()) +
+         " outstanding=" + std::to_string(workload.outstanding_count()) +
+         " terminals=" + std::to_string(daemon.terminal_count());
+  return out;
+}
+
+// Pins the exact output of a fixed closed-loop run, not just its thread
+// invariance: a storage-layout change to the terminal DB or the generator
+// that perturbs any request, verdict, counter or flight event moves the
+// digest.
+TEST(Pcnd, ClosedLoopOutputDigestIsPinned) {
+  constexpr std::uint64_t kDigest = 0xef931b37259ec13dull;
+  const std::string one = pinned_run(1);
+  // On a mismatch, the counter block says which path moved.
+  EXPECT_EQ(fnv1a64(one), kDigest) << one.substr(0, one.find('{'));
+  EXPECT_EQ(fnv1a64(pinned_run(4)), kDigest);
 }
 
 TEST(Pcnd, ClosedLoopWorkloadKeepsOnePageInFlight) {

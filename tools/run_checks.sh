@@ -8,6 +8,8 @@
 #      4-thread slot loop),
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
+#      and the terminal-DB hostile-id and property suites (ids near 2^64,
+#      2^32 strides, one shard residue must stay in bounds),
 #   4. observability gate — slot-loop throughput with collect_runtime_stats
 #      on, and separately with the per-call flight recorder on (default
 #      sampling), must each stay within 3% of the bare loop
@@ -30,9 +32,10 @@
 #   8. portable-fallback build — the AVX2 kernel configured OFF
 #      (-DPCN_SIMD_AVX2=OFF) must compile and pass tier-1, proving the
 #      scalar-emulation kernel carries the engine on non-AVX2 hardware,
-#   9. pcnd daemon gate — the bounded-paging-queue property suite and the
-#      2x-overload soak (1 vs 4 threads, bit-identical counters) at smoke
-#      scale, a pcnd CLI overload run that must emit a daemon run report,
+#   9. pcnd daemon gate — the bounded-paging-queue and terminal-DB
+#      property suites and the 2x-overload soak (1 vs 4 threads,
+#      bit-identical counters) at smoke scale, a pcnd CLI overload run
+#      that must emit a daemon run report,
 #      and the perf_daemon closed-loop bench diffed against its blessed
 #      baseline with tools/bench_compare.py,
 #  10. live introspection gate — a pcnd overload run with --admin-socket
@@ -94,11 +97,13 @@ PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   -R 'NetworkParallel|MetricsRegistry|AdminIntrospection' \
   --output-on-failure -j "$jobs"
 
-echo "== [3/12] ASan+UBSan: wire codec round-trips =="
+echo "== [3/12] ASan+UBSan: wire codec round-trips + terminal DB =="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
-  --target test_wire test_messages test_wire_fuzz
-ctest --test-dir build-asan -R 'Wire|Messages|PropWireFuzz' \
+  --target test_wire test_messages test_wire_fuzz test_daemon \
+  test_prop_terminal_table
+ctest --test-dir build-asan \
+  -R 'Wire|Messages|PropWireFuzz|Pcnd\.TerminalDb|PropTerminalTable' \
   --output-on-failure -j "$jobs"
 
 echo "== [4/12] observability overhead gates (<= 3% each) =="
@@ -236,13 +241,14 @@ ctest --test-dir build-portable -LE tier2 --output-on-failure -j "$jobs"
 
 echo "== [9/12] pcnd daemon gate: property + soak + overload bench =="
 cmake --build --preset default -j "$jobs" \
-  --target pcnd perf_daemon test_prop_paging_queue test_daemon_soak
-# The property suite and the deterministic overload soak, the latter at
+  --target pcnd perf_daemon test_prop_paging_queue test_prop_terminal_table \
+  test_daemon_soak
+# The property suites and the deterministic overload soak, the latter at
 # smoke scale (the soak reads PCN_SOAK_TERMINALS / PCN_SOAK_SLOTS and
 # runs the same 2x-overload scenario at 1 and 4 threads, diffing every
 # counter, the delay histogram and the flight trace).
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
-  ctest --preset tier2 -R 'PropPagingQueue|DaemonSoak' \
+  ctest --preset tier2 -R 'PropPagingQueue|PropTerminalTable|DaemonSoak' \
   --output-on-failure -j "$jobs"
 # CLI smoke: a closed-loop 2x-overload run must produce a daemon report.
 if ./build/tools/pcnd run --terminals 20000 --slots 128 --region 16 \
