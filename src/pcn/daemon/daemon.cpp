@@ -23,12 +23,85 @@ std::uint64_t request_terminal(const DaemonRequest& request) {
              : request.terminal_id;
 }
 
-void bump_dense(std::vector<std::int64_t>& hist, std::size_t index) {
-  if (hist.size() <= index) hist.resize(index + 1, 0);
-  ++hist[index];
+}  // namespace
+
+namespace detail {
+
+void SlotTally::add(std::int64_t value) {
+  const auto index = static_cast<std::size_t>(value);
+  if (counts.size() <= index) counts.resize(index + 1, 0);
+  ++counts[index];
+  top = std::max(top, index + 1);
 }
 
-}  // namespace
+void SlotTally::fold(obs::Histogram& histogram, std::size_t shard,
+                     std::vector<std::int64_t>* cumulative) {
+  // The values are small integers, so one counted observe per value
+  // leaves every bucket count and the running sum bit-identical to one
+  // observe per occurrence.
+  if (cumulative != nullptr && cumulative->size() < top) {
+    cumulative->resize(top, 0);
+  }
+  for (std::size_t value = 0; value < top; ++value) {
+    if (counts[value] == 0) continue;
+    histogram.observe_n(static_cast<double>(value), counts[value], shard);
+    if (cumulative != nullptr) (*cumulative)[value] += counts[value];
+    counts[value] = 0;
+  }
+  top = 0;
+}
+
+}  // namespace detail
+
+std::size_t Pcnd::QueueShard::home_slot(geometry::Cell cell) const {
+  // Every cell in this shard shares CellHash % queue_shards, so the low
+  // hash bits are not spread here: take the top bits of a Fibonacci
+  // multiply instead.
+  const std::uint64_t hash =
+      static_cast<std::uint64_t>(CellHash{}(cell)) * 0x9e3779b97f4a7c15ull;
+  return static_cast<std::size_t>(hash >> (64 - index_bits));
+}
+
+std::uint32_t Pcnd::QueueShard::find(geometry::Cell cell) const {
+  if (index.empty()) return kNoQueue;
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t i = home_slot(cell);; i = (i + 1) & mask) {
+    const std::uint32_t entry = index[i];
+    if (entry == 0) return kNoQueue;
+    if (cells[entry - 1] == cell) return entry - 1;
+  }
+}
+
+std::uint32_t Pcnd::QueueShard::find_or_add(geometry::Cell cell,
+                                            const PagingQueueConfig& config) {
+  const std::uint32_t found = find(cell);
+  if (found != kNoQueue) return found;
+  const auto added = static_cast<std::uint32_t>(queues.size());
+  queues.emplace_back(config);
+  cells.push_back(cell);
+  if (2 * cells.size() > index.size()) {
+    grow_index();  // re-places every queue, the new one included
+  } else {
+    place(added);
+  }
+  return added;
+}
+
+void Pcnd::QueueShard::place(std::uint32_t queue) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = home_slot(cells[queue]);
+  while (index[i] != 0) i = (i + 1) & mask;
+  index[i] = queue + 1;
+}
+
+void Pcnd::QueueShard::grow_index() {
+  constexpr int kMinIndexBits = 4;  // 16 slots
+  index_bits = index.empty() ? kMinIndexBits : index_bits + 1;
+  index.assign(std::size_t{1} << index_bits, 0);
+  for (std::size_t q = 0; q < cells.size(); ++q) {
+    place(static_cast<std::uint32_t>(q));
+  }
+}
 
 void RequestSink::update(const proto::LocationUpdate& update) {
   daemon_->requests_update_.add(1, static_cast<std::size_t>(shard_));
@@ -251,21 +324,45 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
     QueueShard& shard = queue_shards_[static_cast<std::size_t>(qs)];
     const auto shard_index = static_cast<std::size_t>(qs);
 
-    // Enqueue this slot's intents, iterating terminal shards in fixed
-    // order 0..S-1: the per-queue arrival order is independent of both
-    // the thread count and which worker runs this shard.
+    // Walk this slot's intents in fixed order — terminal shards 0..S-1,
+    // list order within each — taking each one's flight-event run and
+    // queue here.  Per-queue arrival order and seq values are therefore
+    // those of an enqueue-as-you-walk pass, independent of both the
+    // thread count and which worker runs this shard.
+    shard.walk.clear();
     detail::SeqTracker tracker;
-    for (auto& per_terminal_shard : intents_) {
-      auto& list = per_terminal_shard[shard_index];
-      for (const PageIntent& intent : list) {
+    for (const auto& per_terminal_shard : intents_) {
+      for (const PageIntent& intent : per_terminal_shard[shard_index]) {
         const std::uint32_t run = tracker.next(intent.terminal_id);
-        auto it = shard.queues.find(intent.cell);
-        if (it == shard.queues.end()) {
-          it = shard.queues.emplace(intent.cell,
-                                    BoundedPagingQueue(config_.queue))
-                   .first;
-        }
-        BoundedPagingQueue& queue = it->second;
+        shard.walk.push_back(
+            {&intent, shard.find_or_add(intent.cell, config_.queue), run});
+      }
+    }
+    // Stable counting sort by queue: after the scatter, queue_end[q] is
+    // one past queue q's last staged intent.
+    const std::size_t queue_count = shard.queues.size();
+    shard.queue_end.assign(queue_count + 1, 0);
+    for (const StagedIntent& staged : shard.walk) {
+      ++shard.queue_end[staged.queue + 1];
+    }
+    for (std::size_t q = 1; q <= queue_count; ++q) {
+      shard.queue_end[q] += shard.queue_end[q - 1];
+    }
+    shard.staged.resize(shard.walk.size());
+    for (const StagedIntent& staged : shard.walk) {
+      shard.staged[shard.queue_end[staged.queue]++] = staged;
+    }
+
+    // Visit each queue once, in array order: enqueue its intents, then
+    // drain it against the slot budget.  A queue's verdicts depend only
+    // on its own arrivals, so the visit order decides nothing but the
+    // order of this slot's outcome events.
+    std::size_t next = 0;
+    for (std::uint32_t q = 0; q < queue_count; ++q) {
+      BoundedPagingQueue& queue = shard.queues[q];
+      for (; next < shard.queue_end[q]; ++next) {
+        const PageIntent& intent = *shard.staged[next].intent;
+        const std::uint32_t run = shard.staged[next].run;
         PendingPage page;
         page.terminal_id = intent.terminal_id;
         page.page_id = intent.page_id;
@@ -303,7 +400,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
           case EnqueueResult::kQueued: {
             const auto depth = static_cast<std::int64_t>(queue.size());
             pages_queued_.add(1, shard_index);
-            depth_hist_.observe(static_cast<double>(depth), shard_index);
+            shard.depth_tally.add(depth);
             shard.max_depth = std::max(shard.max_depth, depth);
             record_page_event(
                 qs, obs::FlightEventType::kPageQueued, slot,
@@ -344,11 +441,6 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
           }
         }
       }
-      list.clear();
-    }
-
-    // Drain every queue against the slot budget.
-    for (auto& [cell, queue] : shard.queues) {
       if (queue.empty()) continue;
       shard.served_scratch.clear();
       shard.expired_scratch.clear();
@@ -359,8 +451,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
         const std::int64_t delay = slot - served.page.enqueued_slot;
         cell_delay_sum += delay;
         pages_served_.add(1, shard_index);
-        delay_hist_.observe(static_cast<double>(delay), shard_index);
-        bump_dense(shard.delay_hist, static_cast<std::size_t>(delay));
+        shard.delay_tally.add(delay);
         if (config_.sla_delay_slots > 0 &&
             delay > config_.sla_delay_slots) {
           sla_violations_.add(1, shard_index);
@@ -404,12 +495,18 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
       }
       if (planner_ != nullptr && !shard.served_scratch.empty()) {
         // Staged for the serial FINALIZE fold; the planner's aggregate
-        // is commutative, so shard-map iteration order cannot matter.
+        // is commutative, so queue visit order cannot matter.
         shard.planner_samples.push_back(
-            {cell, static_cast<std::int64_t>(shard.served_scratch.size()),
+            {shard.cells[q],
+             static_cast<std::int64_t>(shard.served_scratch.size()),
              cell_delay_sum});
       }
     }
+    for (auto& per_terminal_shard : intents_) {
+      per_terminal_shard[shard_index].clear();
+    }
+    shard.depth_tally.fold(depth_hist_, shard_index, nullptr);
+    shard.delay_tally.fold(delay_hist_, shard_index, &shard.delay_hist);
   }
 }
 
@@ -462,16 +559,16 @@ void Pcnd::finalize_phase() {
     stats.max_depth_ever = max_depth_ever_;
     live_stats_scratch_.clear();
     for (const QueueShard& shard : queue_shards_) {
-      for (const auto& [cell, queue] : shard.queues) {
-        const auto depth = static_cast<std::int64_t>(queue.size());
+      for (std::size_t q = 0; q < shard.queues.size(); ++q) {
+        const auto depth = static_cast<std::int64_t>(shard.queues[q].size());
         if (depth == 0) continue;
         stats.total_pending += depth;
         ++stats.cells_pending;
-        live_stats_scratch_.push_back({cell, depth});
+        live_stats_scratch_.push_back({shard.cells[q], depth});
       }
     }
     // Cells are unique, so (depth desc, q, r) is a strict total order and
-    // the top-K list is the same regardless of map iteration order.
+    // the top-K list is the same regardless of queue array order.
     const std::size_t top = std::min(LiveQueueStats::kTopCells,
                                      live_stats_scratch_.size());
     std::partial_sort(
@@ -683,10 +780,10 @@ Pcnd::TerminalInfo Pcnd::terminal_info(std::uint64_t terminal_id) const {
 std::int64_t Pcnd::queue_depth(geometry::Cell cell) const {
   const QueueShard& shard =
       queue_shards_[static_cast<std::size_t>(queue_shard_of(cell))];
-  const auto it = shard.queues.find(cell);
-  return it == shard.queues.end()
+  const std::uint32_t q = shard.find(cell);
+  return q == QueueShard::kNoQueue
              ? 0
-             : static_cast<std::int64_t>(it->second.size());
+             : static_cast<std::int64_t>(shard.queues[q].size());
 }
 
 }  // namespace pcn::daemon

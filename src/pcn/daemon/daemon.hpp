@@ -17,8 +17,9 @@
 //   * Two fixed shard counts, independent of the thread count: terminal
 //     state lives in `terminal_shards` flat tables (terminal_table.hpp),
 //     terminal_id mod the shard count picking the table and terminal_id
-//     divided by it the key, and cell queues live in `queue_shards` maps
-//     keyed by a cell hash.  Threads own shards (shard s -> worker s % T),
+//     divided by it the key, and cell queues live in `queue_shards`
+//     dense arrays, a cell hash picking the shard and a per-shard flat
+//     index the queue.  Threads own shards (shard s -> worker s % T),
 //     never split them.  Storage order never drives processing order:
 //     APPLY walks the sorted batch, then the workload's increasing ids.
 //   * A slot is three barrier-separated phases.  INGEST (serial, in the
@@ -28,9 +29,10 @@
 //     order, route page submits to per-(terminal-shard, queue-shard)
 //     intent lists; the attached SlotWorkload generates its shard's
 //     traffic here, after the ring batch, in terminal-id order.  DRAIN
-//     (parallel over queue shards): enqueue intents in terminal-shard
-//     order 0..S-1 — an order no thread count can perturb — then drain
-//     every queue against the slot budget.
+//     (parallel over queue shards): walk the intents in terminal-shard
+//     order 0..S-1 — an order no thread count can perturb — group them
+//     stably by queue, then visit each queue once in array order,
+//     enqueueing its intents and draining it against the slot budget.
 //   * Per-shard metric cells (MetricsRegistry) and per-shard flight/
 //     outcome buffers, merged at the slot barrier in shard order.
 //
@@ -42,7 +44,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "pcn/capacity/paging_capacity.hpp"
@@ -150,6 +151,20 @@ struct SeqTracker {
     last_terminal = terminal_id;
     return run;
   }
+};
+
+/// One slot's observations of a small non-negative integer, counted
+/// densely (counts[v] = times v was seen) and folded into a registry
+/// histogram once per slot with one counted observe per distinct value.
+struct SlotTally {
+  std::vector<std::int64_t> counts;
+  std::size_t top = 0;  ///< one past the largest value seen this slot
+
+  void add(std::int64_t value);
+  /// Adds this slot's counts to `histogram` (and, when given, to the
+  /// dense `cumulative` counts), then clears them for the next slot.
+  void fold(obs::Histogram& histogram, std::size_t shard,
+            std::vector<std::int64_t>* cumulative);
 };
 
 }  // namespace detail
@@ -283,14 +298,51 @@ class Pcnd {
     std::int64_t delay_sum = 0;
   };
 
+  /// An intent routed to its queue, with the flight-event run it got in
+  /// the slot's fixed walk order.
+  struct StagedIntent {
+    const PageIntent* intent = nullptr;
+    std::uint32_t queue = 0;
+    std::uint32_t run = 0;
+  };
+
   struct QueueShard {
-    std::unordered_map<geometry::Cell, BoundedPagingQueue, CellHash> queues;
+    static constexpr std::uint32_t kNoQueue = ~std::uint32_t{0};
+
+    /// The shard's queues in first-seen order; cells[i] owns queues[i].
+    std::vector<BoundedPagingQueue> queues;
+    std::vector<geometry::Cell> cells;
+    std::vector<StagedIntent> walk;    ///< this slot's intents, walk order
+    std::vector<StagedIntent> staged;  ///< the same, grouped by queue
+    std::vector<std::uint32_t> queue_end;  ///< counting-sort offsets
     std::vector<ServedPage> served_scratch;
     std::vector<PendingPage> expired_scratch;
     std::vector<PageOutcomeEvent> outcomes;
     std::vector<CellServeSample> planner_samples;
     std::vector<std::int64_t> delay_hist;  ///< dense, index = delay slots
+    detail::SlotTally delay_tally;  ///< this slot's served delays
+    detail::SlotTally depth_tally;  ///< this slot's post-enqueue depths
     std::int64_t max_depth = 0;
+
+    /// Dense index of `cell`'s queue, or kNoQueue.
+    std::uint32_t find(geometry::Cell cell) const;
+    /// Dense index of `cell`'s queue, appending one built from `config`
+    /// when the cell has none yet.
+    std::uint32_t find_or_add(geometry::Cell cell,
+                              const PagingQueueConfig& config);
+
+   private:
+    /// Open-addressing cell -> queue lookup: power-of-two slots holding
+    /// queue index + 1 (0 = empty), linear probing, at most half full.
+    /// Consulted only to route an intent or answer queue_depth().
+    std::vector<std::uint32_t> index;
+    int index_bits = 0;
+
+    /// Home slot of `cell` in an index of 2^index_bits slots.
+    std::size_t home_slot(geometry::Cell cell) const;
+    /// Puts queue `queue` in the first free slot from its cell's home.
+    void place(std::uint32_t queue);
+    void grow_index();
   };
 
   int terminal_shard_of(std::uint64_t terminal_id) const {

@@ -18,6 +18,16 @@
 //     `lifetime_slots` of its enqueue is discarded at drain time and
 //     reported as expired, never served.
 //
+// Storage.  One contiguous entry slab per queue holds every pending page;
+// each paging group is an intrusive singly linked FIFO through the slab
+// (head and tail per group, a parallel `next` index per entry), and
+// freed entries go on a free list that the next add reuses.  The slab
+// grows in kSlabStep-entry steps up to max_pending rounded up to the
+// step — never by doubling and never preallocated to max_pending, so an
+// idle or shallow cell costs a step or two, not the worst case.  (Past
+// 8 steps a step is an eighth of the slab, so a queue configured
+// thousands deep still grows in amortized O(1) copies.)
+//
 // The queue itself is single-threaded by design — pcnd partitions cells
 // into fixed shards and each shard is touched by exactly one worker per
 // slot, so no lock is needed here and results cannot depend on thread
@@ -25,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "pcn/common/error.hpp"
@@ -131,18 +140,44 @@ class BoundedPagingQueue {
   int drain(std::int64_t slot, int budget, std::vector<ServedPage>* served,
             std::vector<PendingPage>* expired);
 
+  /// Entries the slab has room for (pending pages plus free entries);
+  /// at most max_pending rounded up to kSlabStep.
+  std::size_t slab_capacity() const { return slab_.capacity(); }
+
+  /// Slab growth step, in entries.
+  static constexpr std::size_t kSlabStep = 8;
+
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One paging group's FIFO: slab indices of its first and last entry.
+  struct GroupList {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
   std::int64_t deadline_for(std::int64_t enqueued_slot) const;
   bool evict_oldest(PendingPage* evicted);
   bool evict_most_slack(std::int64_t incoming_deadline, PendingPage* evicted);
+  /// Appends `page` to the tail of `group`, in a free or new slab entry.
+  void push_back(GroupList& group, const PendingPage& page);
+  /// Unlinks `index` (whose predecessor in `group` is `prev`, kNil for
+  /// the head) and returns the entry to the free list.
+  void unlink(GroupList& group, std::uint32_t prev, std::uint32_t index);
+  /// Moves expired entries off the head of `group` into `expired`.
+  void pop_expired_heads(GroupList& group, std::int64_t slot,
+                         std::vector<PendingPage>* expired);
 
-  int group_of(std::uint64_t terminal_id) const {
-    return static_cast<int>(terminal_id %
-                            static_cast<std::uint64_t>(config_.groups));
+  GroupList& group_for(std::uint64_t terminal_id) {
+    return groups_[terminal_id % groups_.size()];
   }
 
   PagingQueueConfig config_;
-  std::vector<std::deque<PendingPage>> groups_;
+  std::vector<PendingPage> slab_;
+  std::vector<std::uint32_t> next_;  ///< [entry] next in group or free list
+  std::vector<GroupList> groups_;
+  std::uint32_t free_ = kNil;        ///< head of the free-entry list
+  std::size_t slab_limit_ = 0;       ///< max_pending rounded up to the step
   std::size_t size_ = 0;
   int next_group_ = 0;  ///< where the next drain starts its rotation
 };

@@ -37,7 +37,12 @@ std::int64_t Counter::value() const noexcept {
 }
 
 void Histogram::observe(double value, std::size_t shard) noexcept {
-  if (impl_ == nullptr) return;
+  observe_n(value, 1, shard);
+}
+
+void Histogram::observe_n(double value, std::int64_t count,
+                          std::size_t shard) noexcept {
+  if (impl_ == nullptr || count <= 0) return;
   // First bucket with value <= bound (le semantics); overflow otherwise.
   const auto it = std::lower_bound(impl_->bounds.begin(), impl_->bounds.end(),
                                    value);
@@ -45,10 +50,11 @@ void Histogram::observe(double value, std::size_t shard) noexcept {
       static_cast<std::size_t>(it - impl_->bounds.begin());
   const std::size_t cell = shard & kShardMask;
   impl_->cells[bucket * kShards + cell].value.fetch_add(
-      1, std::memory_order_relaxed);
+      count, std::memory_order_relaxed);
   // GCC/libstdc++ implement the C++20 floating-point fetch_add with a CAS
   // loop; contention is already avoided by the per-shard cell.
-  impl_->sums[cell].value.fetch_add(value, std::memory_order_relaxed);
+  impl_->sums[cell].value.fetch_add(value * static_cast<double>(count),
+                                    std::memory_order_relaxed);
 }
 
 std::int64_t Histogram::count() const noexcept {

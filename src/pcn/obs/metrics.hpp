@@ -123,6 +123,12 @@ class Histogram {
   Histogram() = default;
 
   void observe(double value, std::size_t shard = 0) noexcept;
+  /// `count` observations of `value` at once (no-op for count <= 0): one
+  /// bucket add and one sum add of value * count.  Bit-identical to
+  /// `count` observe() calls whenever the partial sums are exact, e.g.
+  /// for integer values with sums below 2^53.
+  void observe_n(double value, std::int64_t count,
+                 std::size_t shard = 0) noexcept;
 
   /// Total observations / sum of observed values across shards.
   std::int64_t count() const noexcept;

@@ -1,13 +1,16 @@
 // Pcnd slot-loop semantics: update/page routing, the bounded-queue
 // verdict paths (served / duplicate / dropped / expired / unknown),
-// page accounting identities, and the determinism contract — counters,
-// delay histograms and sampled flight recordings bit-identical at any
-// worker-thread count.
+// page accounting identities, queues at hostile cell coordinates, and
+// the determinism contract — counters, delay histograms, sampled flight
+// recordings and the outcome stream bit-identical at any worker-thread
+// count.
 #include "pcn/daemon/daemon.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -423,6 +426,151 @@ TEST(Pcnd, BitIdenticalResultsAcrossThreadCounts) {
   EXPECT_NE(one.find("daemon.page.served"), std::string::npos);
 }
 
+/// Every field of every PageOutcomeEvent a 2x-overloaded closed loop
+/// settles, in drain_outcomes() order.
+std::string outcome_stream(AdmissionPolicy policy, int threads) {
+  PcndConfig config;
+  config.threads = threads;
+  config.collect_outcomes = true;
+  config.capacity = capacity::PagingCapacityModel(1, 1.0);
+  config.queue.max_pending = 6;
+  config.queue.lifetime_slots = 10;
+  config.queue.admission = policy;
+  config.sla_delay_slots = 4;
+  Pcnd daemon(config);
+
+  ClosedLoopConfig workload_config;
+  workload_config.seed = 7;
+  workload_config.terminals = 720;
+  workload_config.region = 6;      // 36 cells, 36 pages/slot capacity
+  workload_config.call_prob = 0.1;  // 72 pages/slot offered
+  workload_config.threshold = 2;
+  ClosedLoopWorkload workload(workload_config);
+
+  std::string out;
+  std::vector<PageOutcomeEvent> outcomes;
+  for (int batch = 0; batch < 6; ++batch) {
+    daemon.run_slots(8, &workload);
+    outcomes.clear();
+    daemon.drain_outcomes(&outcomes);
+    for (const PageOutcomeEvent& event : outcomes) {
+      // Kind as a letter (served/dropped/expired/rejected) up front;
+      // every other field is numeric.
+      out += "?SDER"[static_cast<int>(event.kind)];
+      out += ' ' + std::to_string(event.page_id) + ' ' +
+             std::to_string(event.terminal_id) + ' ' +
+             std::to_string(event.queue_delay_slots) + ' ' +
+             std::to_string(event.queue_depth) + ' ' +
+             std::to_string(event.slot) + ' ' +
+             std::to_string(event.client) + '\n';
+    }
+  }
+  return out;
+}
+
+// DRAIN visits queues cell-major, so outcomes within a slot come out in
+// queue order rather than arrival order; that order must still be a pure
+// function of the slot's requests, whatever the worker count.
+TEST(Pcnd, OutcomeStreamIsIdenticalAcrossThreadCounts) {
+  for (const AdmissionPolicy policy :
+       {AdmissionPolicy::kDropNewest, AdmissionPolicy::kDropOldest,
+        AdmissionPolicy::kPriorityDelayBound}) {
+    SCOPED_TRACE(to_string(policy));
+    const std::string one = outcome_stream(policy, 1);
+    EXPECT_EQ(one, outcome_stream(policy, 2));
+    EXPECT_EQ(one, outcome_stream(policy, 4));
+    EXPECT_EQ(one, outcome_stream(policy, 5));
+    // Sanity: overload produced served and dropped verdicts alike.
+    EXPECT_NE(one.find('S'), std::string::npos);
+    EXPECT_NE(one.find('D'), std::string::npos);
+  }
+}
+
+/// Cells at the corners and edges of the int64 coordinate range, plus
+/// 2^32 strides, enough of them to outgrow a shard's initial cell index.
+std::vector<geometry::Cell> hostile_cells() {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<geometry::Cell> cells = {
+      {kMin, kMin}, {kMin, kMax}, {kMax, kMin}, {kMax, kMax},
+      {0, kMin},    {kMin, 0},    {0, kMax},    {kMax, 0}};
+  for (std::int64_t k = 1; k <= 20; ++k) {
+    cells.push_back({kMin + k, kMax - k});
+    cells.push_back({k << 32, -(k << 32)});
+  }
+  return cells;
+}
+
+TEST(Pcnd, QueuesServeHostileCells) {
+  const std::vector<geometry::Cell> cells = hostile_cells();
+  for (const int queue_shards : {1, 16}) {
+    SCOPED_TRACE("queue_shards=" + std::to_string(queue_shards));
+    PcndConfig config = base_config();
+    config.threads = 2;
+    config.queue_shards = queue_shards;
+    config.capacity = capacity::PagingCapacityModel(1, 1.0);  // 1 page/slot
+    config.live_stats = true;
+    Pcnd daemon(config);
+
+    // Cell i gets 1 + i % 5 terminals, all paged in slot 1.
+    std::uint64_t terminal = 0;
+    std::vector<std::int64_t> paged(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      paged[i] = 1 + static_cast<std::int64_t>(i % 5);
+      for (std::int64_t k = 0; k < paged[i]; ++k) {
+        ASSERT_TRUE(daemon.submit(update_request(terminal++, 1, cells[i])));
+      }
+    }
+    daemon.run_slots(1);
+    for (std::uint64_t t = 0; t < terminal; ++t) {
+      ASSERT_TRUE(daemon.submit(page_request(1000 + t, t)));
+    }
+    daemon.run_slots(1);
+
+    // Each cell served one page; the rest wait in its queue.
+    std::int64_t pending = 0;
+    std::vector<LiveQueueStats::CellDepth> expected;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(daemon.queue_depth(cells[i]), paged[i] - 1) << i;
+      pending += paged[i] - 1;
+      if (paged[i] > 1) expected.push_back({cells[i], paged[i] - 1});
+    }
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EQ(daemon.queue_depth({kMax - 1, kMax - 1}), 0);
+    EXPECT_EQ(daemon.queue_depth({1, 1}), 0);
+    constexpr std::int64_t kStride = std::int64_t{21} << 32;  // k past 20
+    EXPECT_EQ(daemon.queue_depth({kStride, -kStride}), 0);
+
+    const LiveQueueStats stats = daemon.live_queue_stats();
+    EXPECT_EQ(stats.total_pending, pending);
+    EXPECT_EQ(stats.cells_pending, static_cast<std::int64_t>(expected.size()));
+    EXPECT_EQ(stats.max_depth_ever, 5);
+    std::sort(expected.begin(), expected.end(),
+              [](const LiveQueueStats::CellDepth& a,
+                 const LiveQueueStats::CellDepth& b) {
+                if (a.depth != b.depth) return a.depth > b.depth;
+                return a.cell < b.cell;
+              });
+    expected.resize(LiveQueueStats::kTopCells);
+    ASSERT_EQ(stats.deepest.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(stats.deepest[i].cell, expected[i].cell) << i;
+      EXPECT_EQ(stats.deepest[i].depth, expected[i].depth) << i;
+    }
+
+    daemon.run_slots(4);  // the deepest queue needs 5 slots in all
+    const obs::MetricsSnapshot snapshot =
+        daemon.metrics_registry().snapshot();
+    EXPECT_EQ(snapshot.counter_value("daemon.page.served"),
+              static_cast<std::int64_t>(terminal));
+    EXPECT_EQ(snapshot.counter_value("daemon.page.dropped"), 0);
+    for (const geometry::Cell& cell : cells) {
+      EXPECT_EQ(daemon.queue_depth(cell), 0);
+    }
+    EXPECT_EQ(daemon.live_queue_stats().total_pending, 0);
+  }
+}
+
 std::uint64_t fnv1a64(const std::string& text) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : text) {
@@ -477,9 +625,9 @@ std::string pinned_run(int threads) {
 }
 
 // Pins the exact output of a fixed closed-loop run, not just its thread
-// invariance: a storage-layout change to the terminal DB or the generator
-// that perturbs any request, verdict, counter or flight event moves the
-// digest.
+// invariance: a storage-layout change to the terminal DB, the generator
+// or the paging queues that perturbs any request, verdict, counter or
+// flight event moves the digest.
 TEST(Pcnd, ClosedLoopOutputDigestIsPinned) {
   constexpr std::uint64_t kDigest = 0xef931b37259ec13dull;
   const std::string one = pinned_run(1);
@@ -522,6 +670,50 @@ TEST(Pcnd, ClosedLoopWorkloadKeepsOnePageInFlight) {
                          snapshot.counter_value("daemon.page.unknown_terminal"));
   // The closed-loop generator registers a terminal before paging it.
   EXPECT_EQ(snapshot.counter_value("daemon.page.unknown_terminal"), 0);
+
+  // The registry histograms hold one observation per served page (its
+  // delay) and per admitted page (the depth it found), with exact sums.
+  const obs::HistogramSample* delays =
+      snapshot.find_histogram("daemon.page.queue_delay_slots");
+  const obs::HistogramSample* depths =
+      snapshot.find_histogram("daemon.queue.depth");
+  ASSERT_NE(delays, nullptr);
+  ASSERT_NE(depths, nullptr);
+  EXPECT_EQ(delays->count, snapshot.counter_value("daemon.page.served"));
+  EXPECT_EQ(depths->count, snapshot.counter_value("daemon.page.queued"));
+  const std::vector<std::int64_t> exact = daemon.delay_histogram();
+  std::int64_t delay_sum = 0;
+  for (std::size_t k = 0; k < exact.size(); ++k) {
+    delay_sum += static_cast<std::int64_t>(k) * exact[k];
+  }
+  EXPECT_GT(delay_sum, 0);
+  EXPECT_EQ(delays->sum, static_cast<double>(delay_sum));
+}
+
+TEST(Pcnd, RepeatedDropsOfOneTerminalGetDistinctSeq) {
+  PcndConfig config = base_config();
+  config.queue.max_pending = 1;
+  config.record_flight = true;
+  config.flight_sample_every = 1;
+  Pcnd daemon(config);
+  ASSERT_TRUE(daemon.submit(update_request(1, 1, {0, 0})));
+  ASSERT_TRUE(daemon.submit(update_request(2, 1, {0, 0})));
+  daemon.run_slots(1);
+  // Terminal 1 fills the queue; terminal 2's three submits in the same
+  // slot are tail drops with flight seq 2, 3 and 4.
+  ASSERT_TRUE(daemon.submit(page_request(10, 1)));
+  for (std::uint64_t page = 20; page < 23; ++page) {
+    ASSERT_TRUE(daemon.submit(page_request(page, 2)));
+  }
+  daemon.run_slots(1);
+  std::vector<std::uint32_t> seqs;
+  for (const obs::FlightEvent& event : daemon.flight_recorder()->merged()) {
+    if (event.type == obs::FlightEventType::kPageDropped) {
+      EXPECT_EQ(event.terminal, 2);
+      seqs.push_back(event.seq);
+    }
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint32_t>{2, 3, 4}));
 }
 
 TEST(DaemonReport, AccountsAndSerializes) {

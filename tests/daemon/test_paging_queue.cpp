@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace pcn::daemon {
@@ -282,6 +283,125 @@ TEST(BoundedPagingQueue, DropNewestNeedsNoEvictedOutParam) {
   BoundedPagingQueue queue(single_group(1, 16));
   EXPECT_EQ(queue.add(page_for(1, 1, 0)), EnqueueResult::kQueued);
   EXPECT_EQ(queue.add(page_for(2, 2, 0)), EnqueueResult::kFull);
+}
+
+std::vector<std::uint64_t> served_terminals(
+    const std::vector<ServedPage>& served) {
+  std::vector<std::uint64_t> ids;
+  for (const ServedPage& entry : served) ids.push_back(entry.page.terminal_id);
+  return ids;
+}
+
+TEST(BoundedPagingQueue, PriorityEvictionUnlinksMiddleAndTail) {
+  PagingQueueConfig config;
+  config.max_pending = 5;
+  config.lifetime_slots = 64;
+  config.groups = 2;
+  config.admission = AdmissionPolicy::kPriorityDelayBound;
+  config.sla_delay_slots = 8;
+  BoundedPagingQueue queue(config);
+  // Group 0 (even ids) holds four pages; the most slack one sits in the
+  // middle.  Group 1 holds one urgent page the scan must walk past.
+  queue.add(page_for(2, 1, 0));  // deadline 8
+  queue.add(page_for(4, 2, 5));  // deadline 13: the middle victim
+  queue.add(page_for(6, 3, 1));  // deadline 9
+  queue.add(page_for(8, 4, 2));  // deadline 10
+  queue.add(page_for(1, 5, 0));  // group 1, deadline 8
+  PendingPage evicted;
+  EXPECT_EQ(queue.add(page_for(10, 6, 5), &evicted), EnqueueResult::kEvicted);
+  EXPECT_EQ(evicted.terminal_id, 4u);
+  // Now 10 (deadline 13) is group 0's tail and the most slack page.
+  EXPECT_EQ(queue.add(page_for(12, 7, 5), &evicted), EnqueueResult::kEvicted);
+  EXPECT_EQ(evicted.terminal_id, 10u);
+  EXPECT_FALSE(queue.contains(4));
+  EXPECT_FALSE(queue.contains(10));
+  EXPECT_EQ(queue.size(), 5u);
+
+  // Survivors keep FIFO order, and the tail fix-up lets later adds
+  // append behind them.
+  std::vector<ServedPage> served;
+  std::vector<PendingPage> expired;
+  queue.drain(6, 3, &served, &expired);  // groups 0, 1, 0
+  EXPECT_EQ(served_terminals(served), (std::vector<std::uint64_t>{2, 1, 6}));
+  EXPECT_EQ(queue.add(page_for(14, 8, 6)), EnqueueResult::kQueued);
+  served.clear();
+  queue.drain(7, 8, &served, &expired);
+  EXPECT_EQ(served_terminals(served),
+            (std::vector<std::uint64_t>{8, 12, 14}));
+  EXPECT_TRUE(expired.empty());
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(BoundedPagingQueue, SlabNeverExceedsMaxPendingRoundedUpToTheStep) {
+  constexpr std::size_t kStep = BoundedPagingQueue::kSlabStep;
+  for (const AdmissionPolicy policy :
+       {AdmissionPolicy::kDropNewest, AdmissionPolicy::kDropOldest,
+        AdmissionPolicy::kPriorityDelayBound}) {
+    for (const std::size_t max_pending :
+         {1u, 5u, 8u, 13u, 64u, 100u, 300u}) {
+      SCOPED_TRACE(std::string(to_string(policy)) +
+                   " max_pending=" + std::to_string(max_pending));
+      PagingQueueConfig config;
+      config.max_pending = max_pending;
+      config.lifetime_slots = 4;
+      config.groups = 3;
+      config.admission = policy;
+      BoundedPagingQueue queue(config);
+      EXPECT_EQ(queue.slab_capacity(), 0u);
+      const std::size_t limit = (max_pending + kStep - 1) / kStep * kStep;
+      std::vector<ServedPage> served;
+      std::vector<PendingPage> expired;
+      std::uint64_t terminal = 0;
+      for (std::int64_t slot = 0; slot < 40; ++slot) {
+        // Offer twice the bound each slot; serve a little, expire some.
+        for (std::size_t i = 0; i < 2 * max_pending; ++i) {
+          PendingPage evicted;
+          ++terminal;
+          queue.add(page_for(terminal, terminal, slot), &evicted);
+        }
+        ASSERT_EQ(queue.size(), max_pending);
+        ASSERT_LE(queue.slab_capacity(), limit);
+        queue.drain(slot, 1 + static_cast<int>(slot % 3), &served, &expired);
+      }
+      EXPECT_GE(queue.slab_capacity(), max_pending);
+    }
+  }
+}
+
+TEST(BoundedPagingQueue, SlabGrowsInFixedStepsNotByDoubling) {
+  constexpr std::size_t kStep = BoundedPagingQueue::kSlabStep;
+  BoundedPagingQueue queue(single_group(1024, 16));
+  for (std::uint64_t terminal = 1; terminal <= 64; ++terminal) {
+    ASSERT_EQ(queue.add(page_for(terminal, terminal, 0)),
+              EnqueueResult::kQueued);
+    ASSERT_EQ(queue.slab_capacity(),
+              (queue.size() + kStep - 1) / kStep * kStep);
+  }
+}
+
+TEST(BoundedPagingQueue, LowDepthChurnReusesFreedEntries) {
+  PagingQueueConfig config;
+  config.max_pending = 1024;
+  config.lifetime_slots = 16;
+  config.groups = 4;
+  BoundedPagingQueue queue(config);
+  std::vector<ServedPage> served;
+  std::vector<PendingPage> expired;
+  std::uint64_t terminal = 0;
+  for (std::int64_t slot = 0; slot < 500; ++slot) {
+    for (int i = 0; i < 5; ++i) {
+      ++terminal;
+      ASSERT_EQ(queue.add(page_for(terminal, terminal, slot)),
+                EnqueueResult::kQueued);
+    }
+    queue.drain(slot, 5, &served, &expired);
+    ASSERT_TRUE(queue.empty());
+    // Five pending at a time fit the first step; freed entries are reused
+    // rather than appended.
+    ASSERT_EQ(queue.slab_capacity(), BoundedPagingQueue::kSlabStep);
+  }
+  EXPECT_EQ(served.size(), 2500u);
+  EXPECT_TRUE(expired.empty());
 }
 
 TEST(BoundedPagingQueue, RejectsBadConfig) {

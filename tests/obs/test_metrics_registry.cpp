@@ -1,5 +1,6 @@
 // MetricsRegistry: get-or-create semantics, name/bounds validation,
-// histogram le-bucket boundaries, and the concurrency contract (8-thread
+// histogram le-bucket boundaries, counted observes matching repeated
+// ones, and the concurrency contract (8-thread
 // increments sum exactly; snapshots taken mid-write are well-formed).
 // tools/run_checks.sh runs this binary under TSan to certify the lock-free
 // hot path data-race-free.
@@ -13,6 +14,7 @@
 
 #include "pcn/common/error.hpp"
 #include "pcn/obs/metrics.hpp"
+#include "pcn/obs/report.hpp"
 
 namespace {
 
@@ -135,6 +137,60 @@ TEST(MetricsRegistry, HistogramLeBucketBoundaries) {
   EXPECT_DOUBLE_EQ(sample->sum, 0.5 + 1.0 + 1.5 + 4.0 + 4.5 + 100.0);
   EXPECT_DOUBLE_EQ(sample->mean(), sample->sum / 6.0);
   EXPECT_EQ(histogram.count(), 6);
+}
+
+TEST(MetricsRegistry, CountedObserveMatchesRepeatedObserves) {
+  // (value, count, shard): bucket edges, the overflow bucket far past the
+  // last bound, count 0, and shards that fold onto one cell.
+  struct Step {
+    double value;
+    std::int64_t count;
+    std::size_t shard;
+  };
+  const std::vector<Step> steps = {
+      {0.0, 3, 0},   {1.0, 5, 1},  {2.0, 0, 2},   {3.0, 7, 2},
+      {8.0, 2, 3},   {9.0, 4, 3},  {1e6, 3, 17},  {4096.0, 0, 5},
+      {5.0, 11, 16}, {1e12, 1, 0}, {2.0, 64, 15}, {100.0, 9, 4},
+  };
+  MetricsRegistry repeated_registry;
+  MetricsRegistry counted_registry;
+  const std::vector<double> bounds =
+      pcn::obs::exponential_buckets(1.0, 2.0, 4);  // 1, 2, 4, 8
+  Histogram repeated =
+      repeated_registry.histogram("test.hist.counted", bounds);
+  Histogram counted = counted_registry.histogram("test.hist.counted", bounds);
+  for (const Step& step : steps) {
+    for (std::int64_t i = 0; i < step.count; ++i) {
+      repeated.observe(step.value, step.shard);
+    }
+    counted.observe_n(step.value, step.count, step.shard);
+  }
+  counted.observe_n(7.0, -3);  // a negative count is a no-op too
+
+  const MetricsSnapshot a = repeated_registry.snapshot();
+  const MetricsSnapshot b = counted_registry.snapshot();
+  const auto* sa = a.find_histogram("test.hist.counted");
+  const auto* sb = b.find_histogram("test.hist.counted");
+  ASSERT_NE(sa, nullptr);
+  ASSERT_NE(sb, nullptr);
+  EXPECT_EQ(sa->counts, sb->counts);
+  EXPECT_EQ(sa->count, sb->count);
+  EXPECT_EQ(sa->sum, sb->sum);  // exact: integer partial sums
+  EXPECT_EQ(repeated.count(), counted.count());
+  EXPECT_EQ(repeated.sum(), counted.sum());
+  EXPECT_EQ(sa->counts.back(), 4 + 3 + 1 + 9);  // 9, 1e6, 1e12, 100
+  EXPECT_EQ(pcn::obs::to_prometheus(a), pcn::obs::to_prometheus(b));
+  EXPECT_EQ(pcn::obs::to_json(a), pcn::obs::to_json(b));
+
+  // Count 0 alone leaves a fresh histogram untouched.
+  MetricsRegistry empty_registry;
+  Histogram empty = empty_registry.histogram("test.hist.counted", bounds);
+  empty.observe_n(3.0, 0);
+  EXPECT_EQ(empty.count(), 0);
+  EXPECT_EQ(empty.sum(), 0.0);
+  Histogram detached;
+  detached.observe_n(1.0, 4);  // null handle: no-op
+  EXPECT_EQ(detached.count(), 0);
 }
 
 TEST(MetricsRegistry, BucketHelpers) {

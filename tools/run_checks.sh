@@ -8,8 +8,10 @@
 #      4-thread slot loop),
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
-#      and the terminal-DB hostile-id and property suites (ids near 2^64,
-#      2^32 strides, one shard residue must stay in bounds),
+#      the terminal-DB hostile-id and property suites (ids near 2^64,
+#      2^32 strides, one shard residue must stay in bounds), and the
+#      paging-queue unit, property and hostile-cell suites (the entry
+#      slab's index and free-list arithmetic, the cell index's probing),
 #   4. observability gate — slot-loop throughput with collect_runtime_stats
 #      on, and separately with the per-call flight recorder on (default
 #      sampling), must each stay within 3% of the bare loop
@@ -97,14 +99,14 @@ PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   -R 'NetworkParallel|MetricsRegistry|AdminIntrospection' \
   --output-on-failure -j "$jobs"
 
-echo "== [3/12] ASan+UBSan: wire codec round-trips + terminal DB =="
+echo "== [3/12] ASan+UBSan: wire codec round-trips + terminal DB + queues =="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target test_wire test_messages test_wire_fuzz test_daemon \
-  test_prop_terminal_table
-ctest --test-dir build-asan \
-  -R 'Wire|Messages|PropWireFuzz|Pcnd\.TerminalDb|PropTerminalTable' \
-  --output-on-failure -j "$jobs"
+  test_prop_terminal_table test_paging_queue test_prop_paging_queue
+asan_tests='Wire|Messages|PropWireFuzz|Pcnd\.TerminalDb|PropTerminalTable'
+asan_tests+='|Pcnd\.QueuesServeHostileCells|BoundedPagingQueue|PropPagingQueue'
+ctest --test-dir build-asan -R "$asan_tests" --output-on-failure -j "$jobs"
 
 echo "== [4/12] observability overhead gates (<= 3% each) =="
 cmake --build --preset default -j "$jobs" --target perf_scale
