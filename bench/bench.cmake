@@ -29,13 +29,10 @@ target_link_libraries(perf_micro PRIVATE pcn benchmark::benchmark
 set_target_properties(perf_micro PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
-# Multi-core scaling: simulator throughput over terminals x threads.
+# Multi-core scaling: simulator throughput over terminals x threads, then
+# the paired-block overhead probe (tools/run_checks.sh gate 4).
 add_executable(perf_scale ${CMAKE_CURRENT_SOURCE_DIR}/bench/perf_scale.cpp)
 target_link_libraries(perf_scale PRIVATE pcn benchmark::benchmark
                       pcn_warnings)
 set_target_properties(perf_scale PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# Daemon overload sweep: closed-loop offered load past the paging-channel
-# capacity knee (pcnd bounded-queue behaviour; deterministic counters).
-pcn_add_bench(perf_daemon)

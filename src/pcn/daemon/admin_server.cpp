@@ -261,15 +261,12 @@ std::string AdminServer::render_live_snapshot() {
   json.member("slot", snapshot.counter_value("daemon.slot.count"));
   json.member("scrape_seq", seq);
 
-  const auto phase_mean = [&snapshot](std::string_view name) {
-    const obs::HistogramSample* hist = snapshot.find_histogram(name);
-    return hist == nullptr ? 0.0 : hist->mean();
-  };
   json.key("phase_us").begin_object();
-  json.member("ingest", phase_mean("daemon.phase.ingest_us"));
-  json.member("apply", phase_mean("daemon.phase.apply_us"));
-  json.member("drain", phase_mean("daemon.phase.drain_us"));
-  json.member("finalize", phase_mean("daemon.phase.finalize_us"));
+  json.member("ingest", snapshot.histogram_mean("daemon.phase.ingest_us"));
+  json.member("apply", snapshot.histogram_mean("daemon.phase.apply_us"));
+  json.member("drain", snapshot.histogram_mean("daemon.phase.drain_us"));
+  json.member("finalize",
+              snapshot.histogram_mean("daemon.phase.finalize_us"));
   json.end_object();
 
   json.key("queues").begin_object();

@@ -1,6 +1,7 @@
 #include "pcn/daemon/daemon_report.hpp"
 
 #include "pcn/obs/json.hpp"
+#include "pcn/stats/histogram.hpp"
 
 namespace pcn::daemon {
 
@@ -58,14 +59,9 @@ DaemonRunReport make_daemon_report(const Pcnd& daemon, std::uint64_t seed,
       weighted += double(k) * double(report.queue_delay_slots[k]);
     }
     report.mean_queue_delay_slots = weighted / double(report.pages_served);
-    auto percentile = [&](double quantile) {
-      const double target = quantile * double(report.pages_served);
-      std::int64_t cumulative = 0;
-      for (std::size_t k = 0; k < report.queue_delay_slots.size(); ++k) {
-        cumulative += report.queue_delay_slots[k];
-        if (double(cumulative) >= target) return static_cast<int>(k);
-      }
-      return static_cast<int>(report.queue_delay_slots.size()) - 1;
+    const auto percentile = [&](double quantile) {
+      return stats::count_percentile(report.queue_delay_slots,
+                                     report.pages_served, quantile);
     };
     report.delay_p50 = percentile(0.50);
     report.delay_p95 = percentile(0.95);
@@ -90,14 +86,10 @@ DaemonRunReport make_daemon_report(const Pcnd& daemon, std::uint64_t seed,
         static_cast<std::int64_t>(outbox->value);
   }
 
-  const auto phase_mean = [&m](std::string_view name) {
-    const obs::HistogramSample* hist = m.find_histogram(name);
-    return hist == nullptr ? 0.0 : hist->mean();
-  };
-  report.phase_ingest_us = phase_mean("daemon.phase.ingest_us");
-  report.phase_apply_us = phase_mean("daemon.phase.apply_us");
-  report.phase_drain_us = phase_mean("daemon.phase.drain_us");
-  report.phase_finalize_us = phase_mean("daemon.phase.finalize_us");
+  report.phase_ingest_us = m.histogram_mean("daemon.phase.ingest_us");
+  report.phase_apply_us = m.histogram_mean("daemon.phase.apply_us");
+  report.phase_drain_us = m.histogram_mean("daemon.phase.drain_us");
+  report.phase_finalize_us = m.histogram_mean("daemon.phase.finalize_us");
 
   const std::int64_t wall_ns = m.counter_value("daemon.run.wall_ns");
   if (wall_ns > 0) {

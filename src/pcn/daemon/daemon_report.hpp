@@ -1,6 +1,6 @@
 // Run report for a pcnd run: schema `pcn.run_report.v1` with
-// `"kind": "daemon"`, so the same consumers (tools/bench_compare.py,
-// jq pipelines, tests) read simulator and daemon reports alike.
+// `"kind": "daemon"`, so the same consumers (jq pipelines, tests) read
+// simulator and daemon reports alike.
 //
 // The daemon-specific sections:
 //   * `pages` — offered / queued / duplicate / served / dropped /

@@ -6,9 +6,9 @@
 //     (keys in insertion order, doubles in shortest round-trip form), and
 //   * writes BENCH_<name>.json (schema pcn.bench_report.v1) into
 //     $PCN_BENCH_DIR (default: bench/out/, created on demand and
-//     git-ignored) so the perf trajectory of the repo is tracked across
-//     commits.  Compare against the blessed baselines in bench/baselines/
-//     with tools/bench_compare.py.
+//     git-ignored).  A report with deterministic keys can be diffed
+//     against a blessed baseline in bench/baselines/ with
+//     tools/bench_compare.py (Table 1's is, in tools/run_checks.sh).
 //
 // Summary values go on the line and into JSON "summary"; per-case detail
 // rows (one per scenario / benchmark arg combination) go into JSON "rows"

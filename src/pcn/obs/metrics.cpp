@@ -107,6 +107,11 @@ std::int64_t MetricsSnapshot::counter_value(std::string_view name) const {
   return sample == nullptr ? 0 : sample->value;
 }
 
+double MetricsSnapshot::histogram_mean(std::string_view name) const {
+  const HistogramSample* sample = find_histogram(name);
+  return sample == nullptr ? 0.0 : sample->mean();
+}
+
 /// Node-stable storage: deques never relocate existing metrics, so handles
 /// and in-flight writers stay valid while new metrics register.
 struct MetricsRegistry::Impl {

@@ -178,6 +178,8 @@ struct MetricsSnapshot {
   const HistogramSample* find_histogram(std::string_view name) const;
   /// find_counter(name)->value, or 0 when absent.
   std::int64_t counter_value(std::string_view name) const;
+  /// find_histogram(name)->mean(), or 0 when absent.
+  double histogram_mean(std::string_view name) const;
 };
 
 // --- Registry ----------------------------------------------------------------

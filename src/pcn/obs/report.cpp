@@ -7,6 +7,7 @@
 
 #include "pcn/common/error.hpp"
 #include "pcn/obs/json.hpp"
+#include "pcn/stats/histogram.hpp"
 
 namespace pcn::obs {
 namespace {
@@ -264,14 +265,9 @@ RunReport make_run_report(const sim::Network& network) {
       weighted += double(k) * double(report.paging_delay_cycles[k]);
     }
     report.mean_paging_delay_cycles = weighted / double(report.calls);
-    auto percentile = [&](double quantile) {
-      const double target = quantile * double(report.calls);
-      std::int64_t cumulative = 0;
-      for (std::size_t k = 0; k < report.paging_delay_cycles.size(); ++k) {
-        cumulative += report.paging_delay_cycles[k];
-        if (double(cumulative) >= target) return static_cast<int>(k);
-      }
-      return static_cast<int>(report.paging_delay_cycles.size()) - 1;
+    const auto percentile = [&](double quantile) {
+      return stats::count_percentile(report.paging_delay_cycles, report.calls,
+                                     quantile);
     };
     report.delay_p50 = percentile(0.50);
     report.delay_p95 = percentile(0.95);

@@ -4,26 +4,11 @@
 #include <cmath>
 
 #include "pcn/costs/cost_model.hpp"
+#include "pcn/stats/histogram.hpp"
 
 namespace pcn::obs {
 
 namespace {
-
-/// Smallest cycle count whose cumulative share reaches `quantile`.
-int percentile(const std::vector<std::int64_t>& hist, std::int64_t total,
-               double quantile) {
-  if (total <= 0) return 0;
-  const double target = quantile * static_cast<double>(total);
-  std::int64_t cumulative = 0;
-  for (std::size_t k = 0; k < hist.size(); ++k) {
-    cumulative += hist[k];
-    // The first crossing necessarily lands on a non-empty bucket.
-    if (static_cast<double>(cumulative) >= target) {
-      return static_cast<int>(k);
-    }
-  }
-  return static_cast<int>(hist.size()) - 1;
-}
 
 void bump(std::vector<std::int64_t>& hist, std::size_t index) {
   if (hist.size() <= index) hist.resize(index + 1, 0);
@@ -109,9 +94,9 @@ TraceAnalysis analyze_trace(const TraceMeta& meta,
     }
     analysis.mean_cycles = static_cast<double>(cycle_sum) /
                            static_cast<double>(analysis.calls);
-    analysis.p50 = percentile(analysis.cycles_hist, analysis.calls, 0.50);
-    analysis.p95 = percentile(analysis.cycles_hist, analysis.calls, 0.95);
-    analysis.p99 = percentile(analysis.cycles_hist, analysis.calls, 0.99);
+    analysis.p50 = stats::count_percentile(analysis.cycles_hist, analysis.calls, 0.50);
+    analysis.p95 = stats::count_percentile(analysis.cycles_hist, analysis.calls, 0.95);
+    analysis.p99 = stats::count_percentile(analysis.cycles_hist, analysis.calls, 0.99);
     analysis.mean_cost =
         analysis.total_cost / static_cast<double>(analysis.calls);
   }

@@ -116,8 +116,8 @@ struct NetworkConfig {
   /// the instrumentation never touches the RNG streams or the event order,
   /// so every TerminalMetrics value is bit-identical with the flag on or
   /// off, at any thread count (tests/sim/test_telemetry_identity.cpp).
-  /// Off by default; the slot-loop overhead when enabled is bounded by the
-  /// 3% gate in tools/run_checks.sh.
+  /// Off by default; the slot-loop overhead when enabled is bounded at 3%
+  /// by bench/perf_scale's overhead probe (tools/run_checks.sh gate 4).
   bool collect_runtime_stats = false;
   /// Record per-call flight-recorder events (see obs/flight_recorder.hpp):
   /// each sampled call's full lifecycle — arrival, every polling cycle,
@@ -128,7 +128,7 @@ struct NetworkConfig {
   /// 1-in-N sampling of recorded call lifecycles and update events (per
   /// terminal, by the terminal's own ordinals — deterministic at any
   /// thread count).  1 records everything; the default keeps the recording
-  /// overhead inside the run_checks.sh 3% gate.
+  /// overhead inside the 3% bound of bench/perf_scale's overhead probe.
   std::uint64_t flight_sample_every = 8;
   /// Events preallocated per worker shard; 0 uses the recorder's default
   /// (FlightRecorderConfig::shard_capacity).  A full shard drops further
@@ -225,8 +225,8 @@ class Network {
   /// struct-of-arrays fast path for its event-free slot ranges.
   bool soa_active() const { return soa_ != nullptr; }
 
-  /// Flat per-terminal footprint of the active SoA engine in bytes
-  /// (bench/perf_scale reports it), or 0 when the reference engine ran.
+  /// Flat per-terminal footprint of the active SoA engine in bytes, or 0
+  /// when the reference engine ran.
   std::size_t soa_bytes_per_terminal() const;
 
   /// True when the last run() used the lane-parallel SIMD engine (only
@@ -237,8 +237,8 @@ class Network {
   /// "portable"), or nullptr when the SIMD engine is not active.
   const char* simd_isa_name() const;
 
-  /// Flat per-terminal footprint of the active SIMD engine in bytes
-  /// (bench/perf_scale reports it), or 0 when another engine ran.
+  /// Flat per-terminal footprint of the active SIMD engine in bytes, or 0
+  /// when another engine ran.
   std::size_t simd_bytes_per_terminal() const;
 
  private:

@@ -79,7 +79,7 @@ class SimdEngine {
                    bool use_workers);
 
   /// Flat engine state per terminal, in bytes (static plan + hot lane
-  /// arrays) — the bench/perf_scale memory-footprint metric.
+  /// arrays); 173, pinned by tests/sim/test_simd_engine.cpp.
   std::size_t bytes_per_terminal() const;
 
   /// The kernel path selected by the last successful prepare().

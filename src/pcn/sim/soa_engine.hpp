@@ -57,7 +57,7 @@ class SoaEngine {
                    bool use_workers);
 
   /// Flat engine state per terminal, in bytes (static plan + dynamic
-  /// state arrays) — the bench/perf_scale memory-footprint metric.
+  /// state arrays); 157, pinned by tests/sim/test_soa_engine.cpp.
   std::size_t bytes_per_terminal() const;
 
  private:

@@ -63,4 +63,17 @@ std::vector<double> Histogram::distribution() const {
   return dist;
 }
 
+int count_percentile(const std::vector<std::int64_t>& counts,
+                     std::int64_t total, double quantile) {
+  if (total <= 0) return 0;
+  const double target = quantile * static_cast<double>(total);
+  std::int64_t cumulative = 0;
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    cumulative += counts[k];
+    // The first crossing necessarily lands on a non-empty bucket.
+    if (static_cast<double>(cumulative) >= target) return static_cast<int>(k);
+  }
+  return static_cast<int>(counts.size()) - 1;
+}
+
 }  // namespace pcn::stats

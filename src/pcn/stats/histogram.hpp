@@ -50,4 +50,11 @@ class Histogram {
   std::int64_t total_ = 0;
 };
 
+/// Exact-count percentile of a dense integer histogram: the smallest
+/// value k whose cumulative count reaches `quantile * total`.  Returns 0
+/// when `total <= 0`, and the last index if the counts never reach the
+/// target (counts summing below `total`).
+int count_percentile(const std::vector<std::int64_t>& counts,
+                     std::int64_t total, double quantile);
+
 }  // namespace pcn::stats

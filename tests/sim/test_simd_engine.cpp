@@ -214,6 +214,20 @@ TEST(SimdEngine, ReportsActiveIsaName) {
   EXPECT_TRUE(isa == "avx2" || isa == "portable") << isa;
 }
 
+// The flat per-terminal state the lane kernel keeps (plan, thresholds,
+// relative position, batch accumulators): pinned so a layout change is a
+// visible decision.
+TEST(SimdEngine, FlatFootprintIs173BytesPerTerminal) {
+  Network network(make_config(Dimension::kTwoD,
+                              SlotSemantics::kChainFaithful,
+                              SimEngine::kSimd, 1),
+                  kWeights);
+  add_canonical_fleet(network, Dimension::kTwoD, 8);
+  network.run(100);
+  ASSERT_TRUE(network.simd_active());
+  EXPECT_EQ(network.simd_bytes_per_terminal(), 173u);
+}
+
 TEST(SimdEngine, RejectsNonCanonicalFleet) {
   Network network(make_config(Dimension::kTwoD,
                               SlotSemantics::kChainFaithful,

@@ -111,6 +111,18 @@ TEST(SoaEngine, BitIdenticalToReferenceAcrossDimsSemanticsAndThreads) {
   }
 }
 
+// The flat per-terminal state the fast path keeps (doubles, ints, two
+// RNG streams, flags): pinned so a layout change is a visible decision.
+TEST(SoaEngine, FlatFootprintIs157BytesPerTerminal) {
+  Network network(make_config(Dimension::kTwoD, SlotSemantics::kChainFaithful,
+                              SimEngine::kSoa, 1),
+                  kWeights);
+  add_canonical_fleet(network, Dimension::kTwoD, 8);
+  network.run(100);
+  ASSERT_TRUE(network.soa_active());
+  EXPECT_EQ(network.soa_bytes_per_terminal(), 157u);
+}
+
 TEST(SoaEngine, AutoSelectsSoaForCanonicalFleetOnly) {
   bool active = false;
   const std::vector<TerminalMetrics> auto_run = run_canonical(

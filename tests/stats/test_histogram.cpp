@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "pcn/common/error.hpp"
 
 namespace pcn::stats {
@@ -72,6 +75,41 @@ TEST(Histogram, RejectsNegativeValuesAndCounts) {
   EXPECT_THROW(h.add(-1), InvalidArgument);
   EXPECT_THROW(h.add(1, -2), InvalidArgument);
   EXPECT_THROW(h.count(-1), InvalidArgument);
+}
+
+// count_percentile is the one histogram->quantile rule behind the daemon
+// report, the simulator run report and trace analysis: the smallest k whose
+// cumulative count reaches q * total.
+TEST(Histogram, CountPercentileIsTheFirstCumulativeCrossing) {
+  struct Case {
+    std::vector<std::int64_t> counts;
+    std::int64_t total;
+    double quantile;
+    int expected;
+  };
+  const Case cases[] = {
+      // Empty: no mass, no crossing; defined as 0.
+      {{}, 0, 0.5, 0},
+      {{0, 0, 0}, 0, 0.99, 0},
+      // All mass in the last bucket: every quantile lands there.
+      {{0, 0, 0, 7}, 7, 0.01, 3},
+      {{0, 0, 0, 7}, 7, 0.50, 3},
+      {{0, 0, 0, 7}, 7, 1.00, 3},
+      // q * total exactly on a cumulative boundary: the crossing bucket
+      // (>=), not the next one.
+      {{2, 2}, 4, 0.50, 0},
+      {{1, 1, 2}, 4, 0.50, 1},
+      {{5, 0, 5}, 10, 0.50, 0},
+      {{25, 25, 25, 25}, 100, 0.75, 2},
+      // Just past the boundary moves to the next non-empty bucket.
+      {{5, 0, 5}, 10, 0.51, 2},
+      // Counts that never reach the target fall back to the last index.
+      {{1, 1}, 10, 0.99, 1},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(count_percentile(c.counts, c.total, c.quantile), c.expected)
+        << "total " << c.total << " q " << c.quantile;
+  }
 }
 
 }  // namespace

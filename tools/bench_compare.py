@@ -6,25 +6,16 @@ Usage:
 
 Checks, in order:
   * schema and bench name match;
-  * rate-like values (keys containing "per_sec" or "speedup") are
-    throughputs: higher is better, so the band gates *drops* of more than
-    --threshold percent and improvements of any size pass; "speedup"
-    keys get double the band (a ratio of two wall-clock legs compounds
-    both legs' noise);
-  * time-like values (keys containing "sec" or "wall", or ending in "_ns"
-    or "_us") may regress by at most --threshold percent (default 25, a
-    deliberately wide noise band for shared CI machines); improvements of
-    any size pass; "_us" keys get double the band (microsecond-scale
-    means average few samples) and are exempt below 1 us on both sides
-    (sub-microsecond means are below timer-interrupt granularity);
-  * overhead percentages (keys ending in "overhead_pct") are compared in
-    absolute percentage points: a relative band is meaningless when the
-    blessed value sits near zero, so the gate fails only when the current
-    overhead exceeds the baseline by more than 2.0 points;
+  * time-like values (keys containing "sec" or "wall", e.g. wall_seconds)
+    may regress by at most --threshold percent (default 25, a deliberately
+    wide noise band for shared CI machines); improvements of any size pass;
   * every other numeric or string value must match exactly — these are the
     deterministic analytic results (costs, thresholds, row counts) whose
     drift means behaviour changed, not the machine;
   * rows are matched by label; added or removed rows are drift.
+
+Timing claims with a noise model of their own (overheads, speedups) are
+not compared here: bench/perf_scale's paired-block probe gates them.
 
 Exit status: 0 clean, 1 regression or drift, 2 usage/IO error.
 
@@ -57,34 +48,10 @@ def missing_baseline(path, current):
     sys.exit(2)
 
 
-OVERHEAD_POINTS_TOLERANCE = 2.0
-
-
 def is_time_like(key):
     """Keys whose values are wall-clock measurements, not analytic results."""
     lower = key.lower()
-    return (
-        "sec" in lower
-        or "wall" in lower
-        or lower.endswith("_ns")
-        or lower.endswith("_us")
-    )
-
-
-def is_rate_like(key):
-    """Throughputs and speedup ratios: wall-clock-derived, higher is better.
-
-    Checked before is_time_like — "per_sec" contains "sec", and gating a
-    throughput in the time-like direction would fail improvements while
-    passing collapses.
-    """
-    lower = key.lower()
-    return "per_sec" in lower or "speedup" in lower
-
-
-def is_overhead_pct(key):
-    """Overhead percentages: gated in absolute points, not relative."""
-    return key.lower().endswith("overhead_pct")
+    return "sec" in lower or "wall" in lower
 
 
 def load(path):
@@ -106,68 +73,19 @@ def compare_values(context, baseline, current, threshold_pct, problems):
             problems.append(f"{context}: key '{key}' disappeared")
             continue
         cur_value = current[key]
-        if is_overhead_pct(key):
-            if not isinstance(base_value, (int, float)) or not isinstance(
-                cur_value, (int, float)
-            ):
-                continue
-            # Overheads are blessed near zero, so a relative band would be
-            # pure measurement noise; gate the absolute increase instead.
-            increase = cur_value - base_value
-            if increase > OVERHEAD_POINTS_TOLERANCE:
-                problems.append(
-                    f"{context}: '{key}' grew {increase:.2f} points "
-                    f"({base_value} -> {cur_value}, tolerance "
-                    f"{OVERHEAD_POINTS_TOLERANCE:.1f} points)"
-                )
-        elif is_rate_like(key):
-            if not isinstance(base_value, (int, float)) or not isinstance(
-                cur_value, (int, float)
-            ):
-                continue  # rate-like but non-numeric: nothing to gate
-            if base_value <= 0:
-                continue  # no meaningful ratio
-            key_threshold = threshold_pct
-            if "speedup" in key.lower():
-                # A speedup is the ratio of two wall-clock measurements,
-                # so its noise is both legs' compounded — and on a shared
-                # single core a thread-scaling ratio is mostly scheduler
-                # behaviour.  Double the band, like the "_us" keys.
-                key_threshold = threshold_pct * 2.0
-            drop_pct = (base_value - cur_value) / base_value * 100.0
-            if drop_pct > key_threshold:
-                problems.append(
-                    f"{context}: '{key}' dropped {drop_pct:.1f}% "
-                    f"({base_value} -> {cur_value}, threshold "
-                    f"{key_threshold:.0f}%)"
-                )
-        elif is_time_like(key):
+        if is_time_like(key):
             if not isinstance(base_value, (int, float)) or not isinstance(
                 cur_value, (int, float)
             ):
                 continue  # time-like but non-numeric: nothing to gate
             if base_value <= 0:
                 continue  # no meaningful ratio
-            key_threshold = threshold_pct
-            if key.lower().endswith("_us"):
-                if base_value < 1.0 and cur_value < 1.0:
-                    # Sub-microsecond means sit below timer-interrupt
-                    # granularity: one stray interrupt in the measured
-                    # section doubles them.  A relative band on values this
-                    # small gates noise, not regressions — and a real
-                    # regression that matters will push the mean past 1 us,
-                    # where the band takes over.
-                    continue
-                # Microsecond-scale means (per-phase, per-slot) average far
-                # fewer samples than whole-run seconds, so their noise band
-                # is double the aggregate one.
-                key_threshold = threshold_pct * 2.0
             regression_pct = (cur_value - base_value) / base_value * 100.0
-            if regression_pct > key_threshold:
+            if regression_pct > threshold_pct:
                 problems.append(
                     f"{context}: '{key}' regressed {regression_pct:.1f}% "
                     f"({base_value} -> {cur_value}, threshold "
-                    f"{key_threshold:.0f}%)"
+                    f"{threshold_pct:.0f}%)"
                 )
         else:
             same = (

@@ -12,11 +12,12 @@
 #      2^32 strides, one shard residue must stay in bounds), and the
 #      paging-queue unit, property and hostile-cell suites (the entry
 #      slab's index and free-list arithmetic, the cell index's probing),
-#   4. observability gate — slot-loop throughput with collect_runtime_stats
-#      on, and separately with the per-call flight recorder on (default
-#      sampling), must each stay within 3% of the bare loop
-#      (bench/perf_scale measures the interleaved triple and reports
-#      telemetry_overhead_pct / flight_overhead_pct on its PCN_BENCH line),
+#   4. overhead probe — bench/perf_scale's paired-block estimator (median
+#      over alternating same-work block pairs, in process CPU time) must
+#      hold every timing claim: simulator telemetry and flight recorder
+#      <= 3%, pcnd live stats + bound AdminServer and timeseries capture
+#      <= 2%, simd_speedup >= 1.01 and soa_speedup_4t >= 1.71; it runs
+#      once and exits nonzero when a median breaks its bound,
 #   5. trace SLA gate  — a canned delay-bounded scenario is simulated with
 #      --trace-out and `pcnctl trace-summary` must find zero calls paged in
 #      more than m cycles (it exits 1 on any violation); when python3 is
@@ -35,23 +36,19 @@
 #      (-DPCN_SIMD_AVX2=OFF) must compile and pass tier-1, proving the
 #      scalar-emulation kernel carries the engine on non-AVX2 hardware,
 #   9. pcnd daemon gate — the bounded-paging-queue and terminal-DB
-#      property suites and the 2x-overload soak (1 vs 4 threads,
-#      bit-identical counters) at smoke scale, a pcnd CLI overload run
-#      that must emit a daemon run report,
-#      and the perf_daemon closed-loop bench diffed against its blessed
-#      baseline with tools/bench_compare.py,
+#      property suites and the DaemonSoak tests: the 2x-overload soak
+#      (1 vs 4 threads, bit-identical counters) at smoke scale and the
+#      pinned capacity ladder (knee, admission-policy and static-vs-
+#      feedback rows, exact), plus a pcnd CLI overload run that must emit
+#      a daemon run report,
 #  10. live introspection gate — a pcnd overload run with --admin-socket
 #      is scraped mid-flight by `pcnctl top --once --json` (must exit 0
-#      and print a pcn.live_snapshot.v1 document), and the interleaved
-#      introspection-overhead measurement from gate 9's perf_daemon run
-#      (live stats + admin scrapes on vs off at the 1x point) must stay
-#      within 2 percentage points,
+#      and print a pcn.live_snapshot.v1 document),
 #  11. run-timeline gate — the 2x-overload scenario runs with
 #      --series-out, `pcnctl timeline --reencode` must round-trip the
-#      pcn.timeseries.v1 file byte-exactly (cmp), its CUSUM changepoint
-#      verdict must place overload_onset_slot inside the blessed band,
-#      and the timeseries capture-overhead measurement from gate 9's
-#      perf_daemon run must stay within 2 percentage points,
+#      pcn.timeseries.v1 file byte-exactly (cmp), and its CUSUM
+#      changepoint verdict must place overload_onset_slot inside the
+#      blessed band,
 #  12. admission-policy gate — the 2x-overload pcnd scenario runs once
 #      per admission policy (drop_newest, drop_oldest,
 #      priority_delay_bound) at 1 and 4 threads; every deterministic
@@ -63,23 +60,13 @@
 # Environment:
 #   JOBS=N   parallelism for builds and ctest (default: nproc)
 #
-# Gates 4 and 7 run the benches at smoke scale via PCN_SCALE_TERMINALS /
-# PCN_SCALE_SLOTS and PCN_MICRO_TERMINALS / PCN_MICRO_SLOTS; export your
-# own values to override (the bench defaults are the full 10M-terminal
-# comparison, minutes of wall clock).  Gate 9 pins its perf_daemon scale
-# to the blessed baseline's (bench_compare exact-matches the config echo).
-#
-# Perf trajectory: after their compares pass, gates 4 and 9 refresh the
-# blessed snapshots under bench/baselines/ and drop current copies of
-# BENCH_perf_scale.json / BENCH_perf_daemon.json at the repo root, so
-# `git diff` shows exactly how this commit moved the tracked perf keys
-# (commit the refreshed files to bless them).
+# Gate 7 runs perf_micro at smoke scale via PCN_MICRO_TERMINALS /
+# PCN_MICRO_SLOTS.  Absolute throughput is not gated here: perfbench/
+# (see perfbench/README.md) measures it end to end with recorded spreads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs=${JOBS:-$(nproc)}
-scale_terminals=${PCN_SCALE_TERMINALS:-100000}
-scale_slots=${PCN_SCALE_SLOTS:-256}
 
 echo "== [1/12] default build: tier-1 + tier-2 =="
 cmake --preset default
@@ -108,65 +95,13 @@ asan_tests='Wire|Messages|PropWireFuzz|Pcnd\.TerminalDb|PropTerminalTable'
 asan_tests+='|Pcnd\.QueuesServeHostileCells|BoundedPagingQueue|PropPagingQueue'
 ctest --test-dir build-asan -R "$asan_tests" --output-on-failure -j "$jobs"
 
-echo "== [4/12] observability overhead gates (<= 3% each) =="
+echo "== [4/12] overhead probe: paired-block medians within bounds =="
 cmake --build --preset default -j "$jobs" --target perf_scale
-# Skip the google-benchmark sweep; the interleaved gate measurement in
-# main() still runs.  The release preset gives steadier numbers, but the
-# gates have enough headroom (~1% measured) to hold on the default build.
-# Smoke scale: the full default is a 10M-terminal comparison.  A single
-# draw of the wall-clock ratio occasionally lands a point or two high on
-# a loaded machine, so a failed gate is retried with a fresh process (a
-# real overhead regression fails all three runs the same way).
-overhead_ok=0
-for attempt in 1 2 3; do
-  bench_dir=$(mktemp -d)
-  bench_line=$(PCN_BENCH_DIR="$bench_dir" \
-    PCN_SCALE_TERMINALS="$scale_terminals" PCN_SCALE_SLOTS="$scale_slots" \
-    ./build/bench/perf_scale --benchmark_filter='^$' | grep '^PCN_BENCH ')
-  echo "$bench_line"
-  gates_ok=1
-  for gate in telemetry flight; do
-    overhead=$(echo "$bench_line" | tr ' ' '\n' \
-      | sed -n "s/^${gate}_overhead_pct=//p")
-    if ! awk -v pct="$overhead" -v gate="$gate" 'BEGIN {
-      if (pct == "" || pct > 3.0) {
-        printf "%s gate FAILED: overhead %s%% > 3%%\n", gate, pct; exit 1
-      }
-      printf "%s gate ok: overhead %.2f%%\n", gate, pct
-    }'; then
-      gates_ok=0
-    fi
-  done
-  # Perf trajectory: diff against the blessed snapshot (when one exists
-  # and the run used the default smoke scale whose config echo it pins),
-  # then refresh it and the repo-root copy from this passing run.
-  if [ "$gates_ok" = 1 ] && [ "$scale_terminals" = 100000 ] \
-      && [ "$scale_slots" = 256 ]; then
-    if command -v python3 > /dev/null \
-        && [ -f bench/baselines/BENCH_perf_scale.json ]; then
-      if ! python3 tools/bench_compare.py \
-          bench/baselines/BENCH_perf_scale.json \
-          "$bench_dir/BENCH_perf_scale.json"; then
-        gates_ok=0
-      fi
-    fi
-    if [ "$gates_ok" = 1 ]; then
-      cp "$bench_dir/BENCH_perf_scale.json" \
-        bench/baselines/BENCH_perf_scale.json
-      cp "$bench_dir/BENCH_perf_scale.json" BENCH_perf_scale.json
-    fi
-  fi
-  rm -rf "$bench_dir"
-  if [ "$gates_ok" = 1 ]; then
-    overhead_ok=1
-    break
-  fi
-  echo "overhead gate attempt $attempt failed; retrying with a fresh process"
-done
-if [ "$overhead_ok" != 1 ]; then
-  echo "observability overhead gates FAILED over 3 runs"
-  exit 1
-fi
+# Skip the google-benchmark sweep; the probe in main() still runs and
+# exits nonzero when a claim's median breaks its bound.
+probe_dir=$(mktemp -d)
+PCN_BENCH_DIR="$probe_dir" ./build/bench/perf_scale --benchmark_filter='^$'
+rm -rf "$probe_dir"
 
 echo "== [5/12] trace SLA gate + bench baseline diff =="
 cmake --build --preset default -j "$jobs" --target pcnctl table1_one_dim
@@ -241,14 +176,15 @@ cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-portable -j "$jobs"
 ctest --test-dir build-portable -LE tier2 --output-on-failure -j "$jobs"
 
-echo "== [9/12] pcnd daemon gate: property + soak + overload bench =="
+echo "== [9/12] pcnd daemon gate: property + soak + capacity ladder =="
 cmake --build --preset default -j "$jobs" \
-  --target pcnd perf_daemon test_prop_paging_queue test_prop_terminal_table \
+  --target pcnd test_prop_paging_queue test_prop_terminal_table \
   test_daemon_soak
-# The property suites and the deterministic overload soak, the latter at
-# smoke scale (the soak reads PCN_SOAK_TERMINALS / PCN_SOAK_SLOTS and
-# runs the same 2x-overload scenario at 1 and 4 threads, diffing every
-# counter, the delay histogram and the flight trace).
+# The property suites and the DaemonSoak tests.  The 2x-overload soak runs
+# at smoke scale (it reads PCN_SOAK_TERMINALS / PCN_SOAK_SLOTS and runs
+# the same scenario at 1 and 4 threads, diffing every counter, the delay
+# histogram and the flight trace); the capacity-ladder tests have a fixed
+# scale and pin every row exactly.
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   ctest --preset tier2 -R 'PropPagingQueue|PropTerminalTable|DaemonSoak' \
   --output-on-failure -j "$jobs"
@@ -260,46 +196,6 @@ if ./build/tools/pcnd run --terminals 20000 --slots 128 --region 16 \
 else
   echo "pcnd gate FAILED: no daemon run report on stdout"
   exit 1
-fi
-# Closed-loop bench vs the blessed baseline.  The scale (and thread
-# count) must match the baseline exactly: bench_compare treats the
-# config echo as exact-match keys, which is what proves the counters
-# are bit-identical run over run.  The bench's timing-sensitive keys
-# (run_seconds bands, introspection_overhead_pct) occasionally catch a
-# process whose address-space layout penalizes one measurement leg by a
-# few percent, so a failed compare is retried with fresh processes —
-# the deterministic keys are exact-match and fail identically every
-# time, so only measurement noise ever passes on retry.
-daemon_line=""
-if command -v python3 > /dev/null; then
-  compare_ok=0
-  for attempt in 1 2 3; do
-    bench_dir=$(mktemp -d)
-    daemon_line=$(PCN_BENCH_DIR="$bench_dir" PCN_DAEMON_TERMINALS=20000 \
-      PCN_DAEMON_SLOTS=128 PCN_DAEMON_REGION=16 PCN_DAEMON_THREADS=2 \
-      ./build/bench/perf_daemon | grep '^PCN_BENCH ')
-    echo "$daemon_line"
-    if python3 tools/bench_compare.py \
-        bench/baselines/BENCH_perf_daemon.json \
-        "$bench_dir/BENCH_perf_daemon.json"; then
-      compare_ok=1
-      # Perf trajectory: refresh the blessed snapshot and the repo-root
-      # copy from this passing run (commit them to bless).
-      cp "$bench_dir/BENCH_perf_daemon.json" \
-        bench/baselines/BENCH_perf_daemon.json
-      cp "$bench_dir/BENCH_perf_daemon.json" BENCH_perf_daemon.json
-      rm -rf "$bench_dir"
-      break
-    fi
-    rm -rf "$bench_dir"
-    echo "perf_daemon compare attempt $attempt failed; retrying with a fresh process"
-  done
-  if [ "$compare_ok" != 1 ]; then
-    echo "perf_daemon gate FAILED: baseline drift persisted over 3 runs"
-    exit 1
-  fi
-else
-  echo "bench_compare: skipped (python3 not found)"
 fi
 
 echo "== [10/12] live introspection gate: admin scrape + pcnctl top =="
@@ -330,22 +226,6 @@ if echo "$top_json" | grep -q '"schema":"pcn.live_snapshot.v1"'; then
 else
   echo "introspection gate FAILED: no live snapshot from pcnctl top"
   exit 1
-fi
-# Overhead: gate 9's perf_daemon run interleaves the 1x point with live
-# stats + a hammering admin scraper on vs off (min-of-3 each) and reports
-# the delta on its PCN_BENCH line.
-if [ -n "$daemon_line" ]; then
-  overhead=$(echo "$daemon_line" | tr ' ' '\n' \
-    | sed -n 's/^introspection_overhead_pct=//p')
-  awk -v pct="$overhead" 'BEGIN {
-    if (pct == "" || pct > 2.0) {
-      printf "introspection gate FAILED: overhead %s%% > 2%%\n", pct
-      exit 1
-    }
-    printf "introspection gate ok: overhead %.2f%%\n", pct
-  }'
-else
-  echo "introspection overhead: skipped (python3 not found, no bench run)"
 fi
 
 echo "== [11/12] run-timeline gate: capture + codec + changepoint =="
@@ -383,21 +263,6 @@ if [ -z "$onset" ] || [ "$onset" -lt 8 ] || [ "$onset" -gt 200 ]; then
   exit 1
 fi
 echo "timeline gate ok: overload onset at slot $onset (band [8, 200])"
-# Capture overhead: gate 9's perf_daemon run interleaves the 1x point
-# with timeseries capture on vs off and reports the floor-of-pairs delta.
-if [ -n "$daemon_line" ]; then
-  overhead=$(echo "$daemon_line" | tr ' ' '\n' \
-    | sed -n 's/^timeseries_overhead_pct=//p')
-  awk -v pct="$overhead" 'BEGIN {
-    if (pct == "" || pct > 2.0) {
-      printf "timeline gate FAILED: capture overhead %s%% > 2%%\n", pct
-      exit 1
-    }
-    printf "timeline gate ok: capture overhead %.2f%%\n", pct
-  }'
-else
-  echo "timeseries overhead: skipped (python3 not found, no bench run)"
-fi
 
 echo "== [12/12] admission-policy gate: per-policy determinism + bands =="
 cmake --build --preset default -j "$jobs" --target pcnd
