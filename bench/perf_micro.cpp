@@ -177,24 +177,12 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramObserve);
 
-void BM_ObsTraceRingRecord(benchmark::State& state) {
-  pcn::obs::TraceRing ring(256);
-  std::int64_t now = 0;
-  for (auto _ : state) {
-    ring.record("bench", now, 10, 0);
-    ++now;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsTraceRingRecord);
-
 void BM_ObsScopedTimer(benchmark::State& state) {
-  // Two clock reads + one counter add + one ring record per scope.
+  // Two clock reads + one counter add per scope.
   pcn::obs::MetricsRegistry registry;
   pcn::obs::Counter counter = registry.counter("bench.timer.ns");
-  pcn::obs::TraceRing ring(256);
   for (auto _ : state) {
-    pcn::obs::ScopedTimer timer(counter, &ring, "bench");
+    pcn::obs::ScopedTimer timer(counter);
     benchmark::DoNotOptimize(timer.elapsed_ns());
   }
   state.SetItemsProcessed(state.iterations());
@@ -276,14 +264,10 @@ void report_per_slot_costs(pcn::obs::BenchReport& report) {
   constexpr int kReps = 3;
   const SlotCost reference =
       best_slot_cost(pcn::sim::SimEngine::kReference, terminals, slots, kReps);
-  const SlotCost soa =
-      best_slot_cost(pcn::sim::SimEngine::kSoa, terminals, slots, kReps);
   report.set("per_slot_terminals", static_cast<double>(terminals))
       .set("per_slot_slots", static_cast<double>(slots))
       .set("per_slot_ns_reference", reference.ns)
-      .set("per_slot_cycles_reference", reference.cycles)
-      .set("per_slot_ns_soa", soa.ns)
-      .set("per_slot_cycles_soa", soa.cycles);
+      .set("per_slot_cycles_reference", reference.cycles);
   const pcn::sim::SimdSupport simd = pcn::sim::simd_support();
   report.set("per_slot_simd_available", simd.available ? 1.0 : 0.0);
   if (simd.available) {

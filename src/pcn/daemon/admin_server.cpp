@@ -111,36 +111,6 @@ void write_window(obs::JsonWriter& json, const obs::RollingWindow& window,
   json.end_object();
 }
 
-void write_snapshot(obs::JsonWriter& json,
-                    const obs::MetricsSnapshot& snapshot) {
-  json.begin_object();
-  json.key("counters").begin_object();
-  for (const obs::CounterSample& counter : snapshot.counters) {
-    json.member(counter.name, counter.value);
-  }
-  json.end_object();
-  json.key("gauges").begin_object();
-  for (const obs::GaugeSample& gauge : snapshot.gauges) {
-    json.member(gauge.name, gauge.value);
-  }
-  json.end_object();
-  json.key("histograms").begin_object();
-  for (const obs::HistogramSample& histogram : snapshot.histograms) {
-    json.key(histogram.name).begin_object();
-    json.key("bounds").begin_array();
-    for (const double bound : histogram.bounds) json.value(bound);
-    json.end_array();
-    json.key("counts").begin_array();
-    for (const std::int64_t count : histogram.counts) json.value(count);
-    json.end_array();
-    json.member("count", histogram.count);
-    json.member("sum", histogram.sum);
-    json.end_object();
-  }
-  json.end_object();
-  json.end_object();
-}
-
 }  // namespace
 
 AdminServer::AdminServer(Pcnd* daemon, std::string path)
@@ -314,7 +284,7 @@ std::string AdminServer::render_live_snapshot() {
   }
 
   json.key("metrics");
-  write_snapshot(json, snapshot);
+  obs::snapshot_to_json(json, snapshot);
   json.end_object();
   return json.take();
 }

@@ -1,6 +1,7 @@
 #include "pcn/daemon/daemon_report.hpp"
 
 #include "pcn/obs/json.hpp"
+#include "pcn/obs/report.hpp"
 #include "pcn/stats/histogram.hpp"
 
 namespace pcn::daemon {
@@ -179,34 +180,8 @@ std::string to_json(const DaemonRunReport& report) {
   json.key("throughput").begin_object();
   json.member("slots_per_sec", report.slots_per_sec);
   json.end_object();
-  // Metrics snapshot, same shape as obs::to_json(MetricsSnapshot).
   json.key("metrics");
-  json.begin_object();
-  json.key("counters").begin_object();
-  for (const obs::CounterSample& counter : report.metrics.counters) {
-    json.member(counter.name, counter.value);
-  }
-  json.end_object();
-  json.key("gauges").begin_object();
-  for (const obs::GaugeSample& gauge : report.metrics.gauges) {
-    json.member(gauge.name, gauge.value);
-  }
-  json.end_object();
-  json.key("histograms").begin_object();
-  for (const obs::HistogramSample& histogram : report.metrics.histograms) {
-    json.key(histogram.name).begin_object();
-    json.key("bounds").begin_array();
-    for (const double bound : histogram.bounds) json.value(bound);
-    json.end_array();
-    json.key("counts").begin_array();
-    for (const std::int64_t count : histogram.counts) json.value(count);
-    json.end_array();
-    json.member("count", histogram.count);
-    json.member("sum", histogram.sum);
-    json.end_object();
-  }
-  json.end_object();
-  json.end_object();
+  obs::snapshot_to_json(json, report.metrics);
   json.end_object();
   return json.take();
 }

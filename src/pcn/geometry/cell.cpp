@@ -20,6 +20,15 @@ std::vector<Cell> cell_neighbors(Dimension dim, Cell cell) {
   return {Cell{cell.q - 1, cell.r}, Cell{cell.q + 1, cell.r}};
 }
 
+Cell cell_neighbor(Dimension dim, Cell cell, int index) {
+  if (dim == Dimension::kTwoD) {
+    PCN_EXPECT(index >= 0 && index < 6, "cell_neighbor: index out of range");
+    return hex_add(cell, hex_directions()[static_cast<std::size_t>(index)]);
+  }
+  PCN_EXPECT(index == 0 || index == 1, "cell_neighbor: index out of range");
+  return Cell{cell.q + (index == 0 ? -1 : 1), cell.r};
+}
+
 std::vector<Cell> cell_ring(Dimension dim, Cell center, int ring) {
   std::vector<Cell> cells;
   append_cell_ring(dim, center, ring, cells);

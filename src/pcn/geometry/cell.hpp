@@ -23,6 +23,10 @@ std::int64_t cell_distance(Dimension dim, Cell a, Cell b);
 /// Neighbors of a cell (2 for 1-D, 6 for 2-D).
 std::vector<Cell> cell_neighbors(Dimension dim, Cell cell);
 
+/// Neighbor `index` of a cell, in cell_neighbors order, without
+/// allocating.
+Cell cell_neighbor(Dimension dim, Cell cell, int index);
+
 /// All cells of ring r_i around `center`.
 std::vector<Cell> cell_ring(Dimension dim, Cell center, int ring);
 

@@ -159,8 +159,6 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-namespace {
-
 void snapshot_to_json(JsonWriter& json, const MetricsSnapshot& snapshot) {
   json.begin_object();
   json.key("counters").begin_object();
@@ -189,8 +187,6 @@ void snapshot_to_json(JsonWriter& json, const MetricsSnapshot& snapshot) {
   json.end_object();
   json.end_object();
 }
-
-}  // namespace
 
 std::string to_json(const MetricsSnapshot& snapshot) {
   JsonWriter json;

@@ -26,6 +26,8 @@
 
 namespace pcn::obs {
 
+class JsonWriter;
+
 /// Prometheus text exposition of a snapshot (sorted by metric name), with
 /// `# HELP` / `# TYPE` headers per metric and label values escaped per the
 /// text-format spec.
@@ -43,6 +45,11 @@ std::string prometheus_help(std::string_view name);
 /// Snapshot as a JSON object {"counters":{...},"gauges":{...},
 /// "histograms":{name:{"bounds":[...],"counts":[...],"count":n,"sum":x}}}.
 std::string to_json(const MetricsSnapshot& snapshot);
+
+/// Writes that object as the next value of `json` — the one snapshot
+/// renderer every document embedding a snapshot uses (pcn.run_report.v1
+/// for simulator and daemon runs, pcn.live_snapshot.v1).
+void snapshot_to_json(JsonWriter& json, const MetricsSnapshot& snapshot);
 
 /// Everything a run produced, aggregated over terminals.  Wall-time and
 /// throughput fields are zero unless the network ran with

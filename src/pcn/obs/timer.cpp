@@ -1,10 +1,6 @@
 #include "pcn/obs/timer.hpp"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-
-#include "pcn/common/error.hpp"
 
 namespace pcn::obs {
 
@@ -12,71 +8,6 @@ std::int64_t monotonic_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-TraceRing::TraceRing(std::size_t capacity)
-    : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
-      slots_(std::make_unique<Slot[]>(capacity_)) {}
-
-void TraceRing::record(const char* name, std::int64_t start_ns,
-                       std::int64_t duration_ns,
-                       std::uint32_t shard) noexcept {
-  const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Mark the slot in-flight (odd), write the fields, then publish the even
-  // generation ticket with release so recent() can detect torn rewrites.
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
-  slot.shard.store(shard, std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-}
-
-std::vector<TraceSpan> TraceRing::recent() const {
-  const std::uint64_t end = next_.load(std::memory_order_acquire);
-  const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-  std::vector<TraceSpan> spans;
-  spans.reserve(static_cast<std::size_t>(end - begin));
-  for (std::uint64_t ticket = begin; ticket < end; ++ticket) {
-    const Slot& slot = slots_[ticket & (capacity_ - 1)];
-    if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) {
-      continue;  // being rewritten by a newer span (or not yet published)
-    }
-    TraceSpan span;
-    span.name = slot.name.load(std::memory_order_relaxed);
-    span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    span.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    span.shard = slot.shard.load(std::memory_order_relaxed);
-    if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) {
-      continue;  // rewritten underneath the copy; drop the torn span
-    }
-    spans.push_back(span);
-  }
-  return spans;
-}
-
-std::string TraceRing::format() const {
-  std::string out;
-  char line[160];
-  for (const TraceSpan& span : recent()) {
-    std::snprintf(line, sizeof(line),
-                  "  %-20s shard=%2" PRIu32 " start=%" PRId64
-                  "ns dur=%" PRId64 "ns\n",
-                  span.name, span.shard, span.start_ns, span.duration_ns);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace pcn::obs

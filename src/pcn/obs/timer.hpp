@@ -1,28 +1,11 @@
-// Scoped wall-clock timing and a lock-free span trace for the hot paths.
+// Scoped wall-clock timing for the hot paths.
 //
 // `ScopedTimer` measures one region with the steady clock and, on scope
 // exit, adds the elapsed nanoseconds to a Counter (per-shard, relaxed — the
-// same cost as any counter increment) and optionally records a span into a
-// `TraceRing`.
-//
-// `TraceRing` is a fixed-capacity ring of the most recent spans.  Writers
-// claim a slot with one atomic fetch_add and publish every field through
-// relaxed atomics plus a release on the sequence word, so recording is
-// wait-free and TSan-clean from any number of threads; `recent()` copies
-// out the retained spans and drops slots that were mid-rewrite (sequence
-// mismatch) instead of blocking writers.  Intended use: keep the ring
-// attached during a run and dump the last N spans when something goes
-// wrong — see docs/observability.md.
-//
-// Span names must be string literals (or otherwise outlive the ring): the
-// ring stores the pointer, never a copy.
+// same cost as any counter increment).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "pcn/obs/metrics.hpp"
 
@@ -31,73 +14,13 @@ namespace pcn::obs {
 /// Monotonic timestamp in nanoseconds (std::chrono::steady_clock).
 std::int64_t monotonic_ns();
 
-struct TraceSpan {
-  const char* name = "";
-  std::int64_t start_ns = 0;     ///< monotonic_ns() at entry
-  std::int64_t duration_ns = 0;
-  std::uint32_t shard = 0;
-};
-
-class TraceRing {
- public:
-  /// Capacity is rounded up to a power of two; at most that many most
-  /// recent spans are retained.
-  explicit TraceRing(std::size_t capacity = 256);
-
-  void record(const char* name, std::int64_t start_ns,
-              std::int64_t duration_ns, std::uint32_t shard = 0) noexcept;
-
-  /// The retained spans, oldest first.  Skips slots concurrently being
-  /// rewritten; safe to call while writers keep recording.
-  std::vector<TraceSpan> recent() const;
-
-  /// Multi-line human-readable dump of recent() (for error paths).
-  std::string format() const;
-
-  std::size_t capacity() const { return capacity_; }
-  /// Total spans ever recorded (>= retained count).
-  std::uint64_t recorded() const {
-    return next_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Slot {
-    /// Even ticket published after the fields: readers pair an acquire
-    /// load of `seq` with the writer's release store and re-check it after
-    /// copying, a seqlock with atomic fields (no torn reads, TSan-clean).
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<const char*> name{""};
-    std::atomic<std::int64_t> start_ns{0};
-    std::atomic<std::int64_t> duration_ns{0};
-    std::atomic<std::uint32_t> shard{0};
-  };
-
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};
-};
-
 /// RAII region timer; see the header comment.  Null counter handles make
 /// the timer a cheap no-op apart from the clock reads.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Counter ns_counter, std::size_t shard = 0)
-      : ScopedTimer(ns_counter, nullptr, "", shard) {}
-  ScopedTimer(Counter ns_counter, TraceRing* ring, const char* name,
-              std::size_t shard = 0)
-      : counter_(ns_counter),
-        ring_(ring),
-        name_(name),
-        shard_(shard),
-        start_ns_(monotonic_ns()) {}
-  ~ScopedTimer() {
-    const std::int64_t elapsed = monotonic_ns() - start_ns_;
-    counter_.add(elapsed, shard_);
-    if (ring_ != nullptr) {
-      ring_->record(name_, start_ns_, elapsed,
-                    static_cast<std::uint32_t>(shard_));
-    }
-  }
+      : counter_(ns_counter), shard_(shard), start_ns_(monotonic_ns()) {}
+  ~ScopedTimer() { counter_.add(monotonic_ns() - start_ns_, shard_); }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
@@ -105,8 +28,6 @@ class ScopedTimer {
 
  private:
   Counter counter_;
-  TraceRing* ring_;
-  const char* name_;
   std::size_t shard_;
   std::int64_t start_ns_;
 };

@@ -10,6 +10,7 @@
 #include "pcn/sim/paging_policy.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/sim/update_policy.hpp"
+#include "pcn/stats/counter_rng.hpp"
 
 namespace pcn::sim {
 
@@ -82,9 +83,8 @@ bool FleetPlan::build(Network& net, std::string* why) {
   const std::size_t n = net.attachments_.size();
   const bool chain = config.semantics == SlotSemantics::kChainFaithful;
 
-  q.resize(n);
-  c.resize(n);
-  qc.resize(n);
+  t_call.resize(n);
+  t_move.resize(n);
   thr.resize(n);
   table.resize(n);
   id_bytes.resize(n);
@@ -181,9 +181,8 @@ bool FleetPlan::build(Network& net, std::string* why) {
       return fail(tag() + "q + c > 1 under chain-faithful semantics");
     }
 
-    q[i] = move_prob;
-    c[i] = call_prob;
-    qc[i] = call_prob + move_prob;
+    t_call[i] = stats::threshold32(call_prob);
+    t_move[i] = stats::threshold32(chain ? call_prob + move_prob : move_prob);
     thr[i] = threshold;
     table[i] = static_cast<std::int32_t>(table_index);
     const std::int64_t id_len =

@@ -1,16 +1,16 @@
-// The validated flat plan for the canonical distance-update scenario,
-// shared by the fast-path slot-loop engines (soa_engine, simd_engine).
+// The validated flat plan for the canonical distance-update scenario, the
+// static half of the lane-parallel SIMD engine (simd_engine).
 //
-// Both engines accept exactly the same fleets: every attached terminal
-// must be the paper's canonical configuration — RandomWalk mobility,
-// DistanceUpdatePolicy, SDF (or matching plan-partition) paging over
-// fixed-disk knowledge, no observer, no loss injection.  FleetPlan::build
-// verifies that and flattens the per-terminal constants (rates, threshold,
-// frame-byte constants) into plain arrays, pre-resolving each distinct
-// paging partition into a lookup table indexed by polling cycle.  The
-// engines differ only in how they evolve the dynamic state over a slot
-// range; everything static lives here so their eligibility rules and
-// byte accounting can never drift apart.
+// The engine accepts only the paper's canonical configuration: every
+// attached terminal has RandomWalk mobility, DistanceUpdatePolicy and SDF
+// (or matching plan-partition) paging over fixed-disk knowledge, with no
+// observer and no loss injection.  FleetPlan::build verifies that and
+// flattens the per-terminal constants (rates, threshold, frame-byte
+// constants) into plain arrays, pre-resolving each distinct paging
+// partition into a lookup table indexed by polling cycle.  Every fleet it
+// rejects runs on the reference engine instead, which evaluates the same
+// draw contract (stats::SlotDraws) — so a rejection changes speed, never
+// results.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +67,11 @@ struct PagingTable {
 /// Static per-terminal plan arrays + interned paging tables, rebuilt by
 /// build().  Indexed by attachment order (= terminal id).
 struct FleetPlan {
-  std::vector<double> q;    ///< per-slot move probability
-  std::vector<double> c;    ///< per-slot call probability
-  std::vector<double> qc;   ///< c + q (chain-semantics move bound)
+  /// The draw contract's event thresholds (stats::SlotDraws):
+  /// threshold32(c), and threshold32(c + q) under chain-faithful
+  /// semantics or threshold32(q) under independent semantics.
+  std::vector<std::uint32_t> t_call;
+  std::vector<std::uint32_t> t_move;
   std::vector<std::int32_t> thr;       ///< distance threshold d
   std::vector<std::int32_t> table;     ///< index into tables
   std::vector<std::int32_t> id_bytes;  ///< varint length of the id

@@ -22,7 +22,7 @@ struct TerminalMetrics {
   std::int64_t polled_cells = 0;  ///< cells polled across all pages
 
   double update_cost = 0.0;  ///< updates · U
-  double paging_cost = 0.0;  ///< polled_cells · V (accumulated per page)
+  double paging_cost = 0.0;  ///< polled_cells · V
 
   /// Air-interface bytes, from the proto codec: location-update frames,
   /// and page request/response frames respectively.

@@ -3,17 +3,6 @@
 #include "pcn/common/error.hpp"
 
 namespace pcn::sim {
-namespace {
-
-geometry::Cell uniform_neighbor(Dimension dim, geometry::Cell from,
-                                stats::Rng& rng) {
-  const std::vector<geometry::Cell> neighbors =
-      geometry::cell_neighbors(dim, from);
-  const std::uint64_t pick = rng.next_below(neighbors.size());
-  return neighbors[static_cast<std::size_t>(pick)];
-}
-
-}  // namespace
 
 RandomWalk::RandomWalk(Dimension dim, double move_prob)
     : dim_(dim), move_prob_(move_prob) {
@@ -24,8 +13,8 @@ RandomWalk::RandomWalk(Dimension dim, double move_prob)
 double RandomWalk::move_probability(SimTime) const { return move_prob_; }
 
 geometry::Cell RandomWalk::move_target(geometry::Cell from, SimTime,
-                                       stats::Rng& rng) const {
-  return uniform_neighbor(dim_, from, rng);
+                                       int neighbor) const {
+  return geometry::cell_neighbor(dim_, from, neighbor);
 }
 
 std::string RandomWalk::name() const { return "random-walk"; }
@@ -56,8 +45,8 @@ double PhasedRandomWalk::move_probability(SimTime now) const {
 }
 
 geometry::Cell PhasedRandomWalk::move_target(geometry::Cell from, SimTime,
-                                             stats::Rng& rng) const {
-  return uniform_neighbor(dim_, from, rng);
+                                             int neighbor) const {
+  return geometry::cell_neighbor(dim_, from, neighbor);
 }
 
 std::string PhasedRandomWalk::name() const { return "phased-random-walk"; }

@@ -5,6 +5,11 @@
 // stays.  `PhasedRandomWalk` extends this with piecewise-constant q(t)
 // (e.g. commute vs. office hours) to exercise the adaptive per-user
 // controller the paper's §8 points at.
+//
+// A model draws nothing itself: the slot loop decides whether the terminal
+// moves (with move_probability) and which neighbor it drew, both from the
+// simulator's slot-draw contract (stats::SlotDraws), and the model maps
+// that neighbor index to the destination cell.
 #pragma once
 
 #include <memory>
@@ -13,7 +18,6 @@
 
 #include "pcn/geometry/cell.hpp"
 #include "pcn/sim/event_queue.hpp"
-#include "pcn/stats/rng.hpp"
 
 namespace pcn::sim {
 
@@ -26,9 +30,11 @@ class MobilityModel {
   /// draw the move event; also what an oracle estimator would know).
   virtual double move_probability(SimTime now) const = 0;
 
-  /// Destination given that a move happens at `now` from `from`.
+  /// Destination given that a move happens at `now` from `from`;
+  /// `neighbor` is the uniformly drawn neighbor index (cell_neighbors
+  /// order: 0..5 in 2-D, 0 = q - 1 and 1 = q + 1 in 1-D).
   virtual geometry::Cell move_target(geometry::Cell from, SimTime now,
-                                     stats::Rng& rng) const = 0;
+                                     int neighbor) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -40,7 +46,7 @@ class RandomWalk final : public MobilityModel {
 
   double move_probability(SimTime now) const override;
   geometry::Cell move_target(geometry::Cell from, SimTime now,
-                             stats::Rng& rng) const override;
+                             int neighbor) const override;
   std::string name() const override;
 
   Dimension dimension() const { return dim_; }
@@ -63,7 +69,7 @@ class PhasedRandomWalk final : public MobilityModel {
 
   double move_probability(SimTime now) const override;
   geometry::Cell move_target(geometry::Cell from, SimTime now,
-                             stats::Rng& rng) const override;
+                             int neighbor) const override;
   std::string name() const override;
 
  private:

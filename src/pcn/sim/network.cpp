@@ -1,7 +1,6 @@
 #include "pcn/sim/network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <thread>
@@ -11,7 +10,6 @@
 #include "pcn/proto/messages.hpp"
 #include "pcn/sim/runtime_stats.hpp"
 #include "pcn/sim/simd_engine.hpp"
-#include "pcn/sim/soa_engine.hpp"
 
 namespace {
 
@@ -85,7 +83,7 @@ Network::Network(NetworkConfig config, CostWeights weights)
     : config_(config),
       weights_(weights),
       server_(config.dimension),
-      root_rng_(config.seed),
+      draws_(config.seed),
       registry_(std::make_unique<obs::MetricsRegistry>()) {
   weights_.validate();
   PCN_EXPECT(config.update_loss_prob >= 0.0 && config.update_loss_prob < 1.0,
@@ -93,15 +91,6 @@ Network::Network(NetworkConfig config, CostWeights weights)
   PCN_EXPECT(config.threads >= 0, "Network: threads must be >= 0");
   PCN_EXPECT(config.flight_sample_every >= 1,
              "Network: flight_sample_every must be >= 1");
-  if (const char* env = std::getenv("PCN_TRACE_RING_CAPACITY")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      config_.trace_ring_capacity = static_cast<std::size_t>(parsed);
-    }
-  }
-  PCN_EXPECT(config_.trace_ring_capacity >= 1,
-             "Network: trace_ring_capacity must be >= 1");
   PCN_EXPECT(config_.timeseries_every_slots >= 0,
              "Network: timeseries_every_slots must be >= 0");
   if (config_.timeseries_every_slots > 0) {
@@ -112,8 +101,7 @@ Network::Network(NetworkConfig config, CostWeights weights)
         config_.timeseries_every_slots);
   }
   if (config_.collect_runtime_stats) {
-    stats_ = std::make_unique<obs_detail::RuntimeStats>(
-        *registry_, config_.trace_ring_capacity);
+    stats_ = std::make_unique<obs_detail::RuntimeStats>(*registry_);
   }
   if (config_.record_flight) {
     obs::FlightRecorderConfig flight_config;
@@ -126,10 +114,6 @@ Network::Network(NetworkConfig config, CostWeights weights)
 }
 
 Network::~Network() = default;
-
-const obs::TraceRing* Network::trace() const {
-  return stats_ == nullptr ? nullptr : &stats_->trace;
-}
 
 TerminalId Network::add_terminal(TerminalSpec spec) {
   PCN_EXPECT(spec.mobility && spec.update_policy && spec.paging_policy,
@@ -147,8 +131,7 @@ TerminalId Network::add_terminal(TerminalSpec spec) {
   Attachment attachment;
   attachment.terminal = std::make_unique<Terminal>(
       id, spec.start, spec.call_prob, std::move(spec.mobility),
-      std::move(spec.update_policy),
-      root_rng_.split(static_cast<std::uint64_t>(id) + 1));
+      std::move(spec.update_policy));
   attachment.paging = std::move(spec.paging_policy);
   attachments_.push_back(std::move(attachment));
   return id;
@@ -161,7 +144,7 @@ void Network::run(std::int64_t slots) {
   if (stats_ != nullptr) {
     stats_->run_count.increment();
     stats_->run_slots.add(slots);
-    run_timer.emplace(stats_->run_wall_ns, &stats_->trace, "net.run");
+    run_timer.emplace(stats_->run_wall_ns);
   }
   const SimTime end = events_.now() + slots;
   Scratch scratch;
@@ -208,7 +191,7 @@ void Network::run(std::int64_t slots) {
       // User events may have re-targeted policies (set_threshold) or
       // attached terminals; the next event-free segment re-verifies the
       // fleet before taking the fast path.
-      if (soa_ != nullptr || simd_ != nullptr) fastpath_revalidate_ = true;
+      if (simd_ != nullptr) fastpath_revalidate_ = true;
       process_slot(t + 1, scratch);
       t = t + 1;
     }
@@ -230,10 +213,6 @@ int Network::resolved_threads() const {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-std::size_t Network::soa_bytes_per_terminal() const {
-  return soa_ != nullptr ? soa_->bytes_per_terminal() : 0;
-}
-
 const char* Network::simd_isa_name() const {
   return simd_ != nullptr ? to_string(simd_->isa()) : nullptr;
 }
@@ -243,29 +222,17 @@ std::size_t Network::simd_bytes_per_terminal() const {
 }
 
 void Network::select_engine() {
-  soa_.reset();
   simd_.reset();
   fastpath_revalidate_ = false;
   if (config_.engine == SimEngine::kReference) return;
-  if (config_.engine == SimEngine::kSimd) {
-    // Explicit opt-in only: the simd engine is statistically (not bit-)
-    // equivalent to the others, so kAuto never picks it.
-    auto engine = std::make_unique<SimdEngine>(*this);
-    std::string why;
-    if (!engine->prepare(&why)) {
-      detail::throw_invalid_argument("Network: simd engine: " + why);
-    }
-    simd_ = std::move(engine);
-    return;
-  }
-  auto engine = std::make_unique<SoaEngine>(*this);
+  // Both engines follow the same draw contract, so kAuto may take the
+  // lane engine whenever it can run and fall back silently otherwise.
+  auto engine = std::make_unique<SimdEngine>(*this);
   std::string why;
   if (engine->prepare(&why)) {
-    soa_ = std::move(engine);
-  } else if (config_.engine == SimEngine::kSoa) {
-    detail::throw_invalid_argument(
-        "Network: soa engine requires the canonical distance-update "
-        "scenario: " + why);
+    simd_ = std::move(engine);
+  } else if (config_.engine == SimEngine::kSimd) {
+    detail::throw_invalid_argument("Network: simd engine: " + why);
   }
 }
 
@@ -282,30 +249,21 @@ void Network::run_segment(SimTime first, SimTime last, Scratch& scratch) {
   if (stats_ != nullptr) {
     stats_->segment_count.increment();
     if (!inline_run) stats_->segment_parallel.increment();
-    segment_timer.emplace(stats_->segment_wall_ns, &stats_->trace,
-                          "net.segment");
+    segment_timer.emplace(stats_->segment_wall_ns);
   }
-  if (fastpath_revalidate_ && (soa_ != nullptr || simd_ != nullptr)) {
+  if (fastpath_revalidate_ && simd_ != nullptr) {
     // Events ran since the fast path was selected; re-verify the fleet.
     fastpath_revalidate_ = false;
     std::string why;
-    if (simd_ != nullptr && !simd_->prepare(&why)) {
-      // simd_ exists only under forced kSimd, so a failure is fatal.
-      detail::throw_invalid_argument("Network: simd engine: " + why);
-    }
-    if (soa_ != nullptr && !soa_->prepare(&why)) {
-      if (config_.engine == SimEngine::kSoa) {
-        detail::throw_invalid_argument(
-            "Network: soa engine requires the canonical distance-update "
-            "scenario: " + why);
+    if (!simd_->prepare(&why)) {
+      if (config_.engine == SimEngine::kSimd) {
+        detail::throw_invalid_argument("Network: simd engine: " + why);
       }
-      soa_.reset();
+      simd_.reset();
     }
   }
   if (simd_ != nullptr) {
     simd_->run_segment(first, last, scratch, !inline_run);
-  } else if (soa_ != nullptr) {
-    soa_->run_segment(first, last, scratch, !inline_run);
   } else if (inline_run) {
     for (SimTime t = first; t <= last; ++t) process_slot(t, scratch);
   } else {
@@ -346,8 +304,7 @@ void Network::run_shard(std::size_t begin, std::size_t end, SimTime first,
                         SimTime last, Scratch& scratch) {
   std::optional<obs::ScopedTimer> shard_timer;
   if (stats_ != nullptr) {
-    shard_timer.emplace(stats_->shard_wall_ns, &stats_->trace, "net.shard",
-                        scratch.shard);
+    shard_timer.emplace(stats_->shard_wall_ns, scratch.shard);
   }
   // Terminal-major: each terminal's whole slot range in one pass.  Because
   // terminals share no mutable state, this produces exactly the metrics of
@@ -387,27 +344,23 @@ void Network::process_terminal(Attachment& attachment, SimTime now,
   scratch.flight_seq = 0;
   const double q = terminal.mobility().move_probability(now);
   const double c = terminal.call_probability();
-
-  bool called = false;
-  bool moved = false;
-  if (config_.semantics == SlotSemantics::kChainFaithful) {
-    // One uniform draw resolves the competing events: call wins with
-    // probability c, a move with probability q, otherwise the terminal
-    // idles — exactly the chain's transition structure.
-    PCN_EXPECT(q + c <= 1.0,
-               "Network: chain-faithful semantics needs q + c <= 1");
-    const double u = terminal.event_rng().next_unit();
-    called = u < c;
-    moved = !called && u < c + q;
-  } else {
-    moved = terminal.event_rng().next_bernoulli(q);
-    called = terminal.event_rng().next_bernoulli(c);
-  }
+  const bool chain = config_.semantics == SlotSemantics::kChainFaithful;
+  // Chain-faithful: one draw resolves the competing events — call with
+  // probability c, a move with probability q, otherwise the terminal
+  // idles, exactly the chain's transition structure.
+  PCN_EXPECT(!chain || q + c <= 1.0,
+             "Network: chain-faithful semantics needs q + c <= 1");
+  const stats::SlotDraws::Slot draw = draws_.draw(
+      static_cast<std::uint64_t>(terminal.id()), now, chain,
+      config_.dimension == Dimension::kTwoD, stats::threshold32(c),
+      stats::threshold32(chain ? c + q : q));
+  const bool called = draw.called;
+  const bool moved = draw.moved;
 
   if (moved) {
     const geometry::Cell from = terminal.position();
     terminal.move_to(
-        terminal.mobility().move_target(from, now, terminal.walk_rng()));
+        terminal.mobility().move_target(from, now, draw.neighbor));
     ++metrics.moves;
     if (stats_ != nullptr) ++scratch.tally.moves;
     if (observer_ != nullptr) {
@@ -443,11 +396,15 @@ void Network::send_update(Attachment& attachment, SimTime now,
         server_.knowledge(terminal.id()).center);
   }
   ++attachment.metrics.updates;
-  attachment.metrics.update_cost += weights_.update_cost;
+  // Costs are weight x count, never running sums, so every engine and
+  // every run segmentation lands on the same bits.
+  attachment.metrics.update_cost =
+      weights_.update_cost * static_cast<double>(attachment.metrics.updates);
   if (stats_ != nullptr) ++scratch.tally.updates;
   const bool lost =
       config_.update_loss_prob > 0.0 &&
-      terminal.event_rng().next_bernoulli(config_.update_loss_prob);
+      draws_.update_lost(static_cast<std::uint64_t>(terminal.id()), now,
+                         stats::threshold32(config_.update_loss_prob));
   if (lost) {
     // No acknowledgement: the network never saw the frame; the policy's
     // trigger condition stays unsatisfied, so the terminal retries on the
@@ -531,26 +488,24 @@ void Network::deliver_call(Attachment& attachment, SimTime now,
     event.distance = arrival_distance;
     scratch.flight->append(event);
   }
-  // The paging fan-out is the expensive rare path: span every Nth page so
-  // the trace ring shows where a slow run spent its cycles while the clock
-  // reads stay off the common path (counts stay exact via the tally;
-  // sim.page.sampled records the sampling denominator).
+  // The paging fan-out is the expensive rare path: time every Nth page so
+  // the clock reads stay off the common path (counts stay exact via the
+  // tally; sim.page.sampled records the sampling denominator).
   const bool sampled =
       stats_ != nullptr &&
       scratch.tally.page_tick++ % kPageSampleEvery == 0;
   std::optional<obs::ScopedTimer> page_timer;
   if (sampled) {
     ++scratch.tally.page_sampled;
-    page_timer.emplace(stats_->page_wall_ns, &stats_->trace, "net.page",
-                       scratch.shard);
+    page_timer.emplace(stats_->page_wall_ns, scratch.shard);
   }
   // One scratch buffer holds every polling group of the page; clear+refill
   // reuses its capacity, so steady-state paging performs no allocations.
   std::vector<geometry::Cell>& group = scratch.poll_group;
   auto poll_group = [&](int cycle) {
     metrics.polled_cells += static_cast<std::int64_t>(group.size());
-    metrics.paging_cost +=
-        weights_.poll_cost * static_cast<double>(group.size());
+    metrics.paging_cost =
+        weights_.poll_cost * static_cast<double>(metrics.polled_cells);
     if (stats_ != nullptr) {
       scratch.tally.polled_cells += static_cast<std::int64_t>(group.size());
     }

@@ -29,42 +29,30 @@
 #include "pcn/sim/observer.hpp"
 #include "pcn/sim/paging_policy.hpp"
 #include "pcn/sim/terminal.hpp"
-
-namespace pcn::obs {
-class TraceRing;
-}  // namespace pcn::obs
+#include "pcn/stats/counter_rng.hpp"
 
 namespace pcn::sim {
 
 enum class SlotSemantics { kChainFaithful, kIndependent };
 
-/// Which slot-loop implementation Network::run uses.
+/// Which slot-loop implementation Network::run uses.  Both engines follow
+/// one draw contract (stats::SlotDraws: every call, move and neighbor is a
+/// function of (seed, terminal id, slot)), so they produce bit-identical
+/// TerminalMetrics and signalling-byte counts at every thread count
+/// (tests/sim/test_simd_engine.cpp).
 ///
-///   * kAuto      — take the struct-of-arrays fast path whenever every
-///     terminal matches the canonical scenario (RandomWalk mobility,
-///     DistanceUpdatePolicy, SDF/plan-partition paging over fixed-disk
-///     knowledge, no observer, no loss injection); otherwise fall back to
-///     the polymorphic reference engine.
+///   * kAuto      — run the lane-parallel SIMD engine whenever FleetPlan
+///     accepts the fleet (RandomWalk mobility, DistanceUpdatePolicy,
+///     SDF/plan-partition paging over fixed-disk knowledge, no observer,
+///     no loss injection), flight recording is off and a kernel is
+///     available; otherwise run the polymorphic reference engine.
 ///   * kReference — always run the polymorphic engine.
-///   * kSoa       — require the fast path; run() throws InvalidArgument
-///     (naming the first non-canonical terminal) when it cannot be taken.
-///   * kSimd      — require the lane-parallel SIMD fast path (AVX2 with a
-///     portable scalar fallback, runtime-detected; see simd_engine.hpp).
-///     Never selected by kAuto: the SIMD engine draws from counter-based
-///     per-(terminal, slot) streams instead of the sequential per-terminal
-///     streams, so its metrics are *statistically* — not bit- —
-///     equivalent to the other engines (gated by the tier-2 oracle suite
-///     in tests/property/test_prop_simd_statistical.cpp).  run() throws
+///   * kSimd      — require the SIMD engine (AVX2 with a portable scalar
+///     fallback, runtime-detected; see simd_engine.hpp); run() throws
 ///     InvalidArgument when the fleet is non-canonical, flight recording
 ///     is on, or PCN_SIMD_ISA=none disabled every kernel.
-///
-/// The reference and soa engines produce bit-identical TerminalMetrics at
-/// every thread count (tests/sim/test_soa_engine.cpp); the simd engine is
-/// itself deterministic across runs and thread counts, just on its own
-/// draw streams.
-enum class SimEngine { kAuto, kReference, kSoa, kSimd };
+enum class SimEngine { kAuto, kReference, kSimd };
 
-class SoaEngine;
 class SimdEngine;
 struct FleetPlan;
 
@@ -106,14 +94,14 @@ struct NetworkConfig {
   double update_loss_prob = 0.0;
   /// Worker threads for Network::run: 1 (default) runs single-threaded,
   /// 0 uses one thread per hardware thread, N > 1 uses exactly N.
-  /// Terminals are fully independent (per-terminal split RNG streams,
+  /// Terminals are fully independent (counter-based per-terminal draws,
   /// disjoint location-server entries), so metrics are bit-identical for
   /// every thread count.  Runs with an observer attached always execute
   /// single-threaded to keep the callback order stable.
   int threads = 1;
-  /// Collect runtime telemetry (counters, timers, trace spans) into
-  /// metrics_registry() while the simulation runs.  Purely observational:
-  /// the instrumentation never touches the RNG streams or the event order,
+  /// Collect runtime telemetry (counters, timers) into metrics_registry()
+  /// while the simulation runs.  Purely observational: the
+  /// instrumentation never touches the random draws or the event order,
   /// so every TerminalMetrics value is bit-identical with the flag on or
   /// off, at any thread count (tests/sim/test_telemetry_identity.cpp).
   /// Off by default; the slot-loop overhead when enabled is bounded at 3%
@@ -134,10 +122,6 @@ struct NetworkConfig {
   /// (FlightRecorderConfig::shard_capacity).  A full shard drops further
   /// events and counts them.
   std::size_t flight_shard_capacity = 0;
-  /// Capacity of the hot-path span trace ring (collect_runtime_stats),
-  /// rounded up to a power of two.  The PCN_TRACE_RING_CAPACITY
-  /// environment variable overrides this at Network construction.
-  std::size_t trace_ring_capacity = 256;
   /// Run-timeline capture: sample the metrics registry into a
   /// pcn.timeseries.v1 recording every N slots (0 = off).  Implies
   /// collect_runtime_stats.  Sampling is keyed to the slot index at
@@ -202,10 +186,6 @@ class Network {
   /// obs::make_run_report for the exported JSON view.
   obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 
-  /// The span trace ring, or nullptr unless collect_runtime_stats is set.
-  /// Dump format() on error paths to see the last hot-path spans.
-  const obs::TraceRing* trace() const;
-
   /// The per-call flight recorder, or nullptr unless
   /// NetworkConfig::record_flight is set.  Read it (merged(), exporters)
   /// only between run() calls.
@@ -222,15 +202,7 @@ class Network {
   const PagingPolicy& paging_policy(TerminalId id) const;
 
   /// True when the last run() (or the one in progress) took the
-  /// struct-of-arrays fast path for its event-free slot ranges.
-  bool soa_active() const { return soa_ != nullptr; }
-
-  /// Flat per-terminal footprint of the active SoA engine in bytes, or 0
-  /// when the reference engine ran.
-  std::size_t soa_bytes_per_terminal() const;
-
-  /// True when the last run() used the lane-parallel SIMD engine (only
-  /// under NetworkConfig::engine = kSimd; kAuto never selects it).
+  /// lane-parallel SIMD engine for its event-free slot ranges.
   bool simd_active() const { return simd_ != nullptr; }
 
   /// The instruction-set path the active SIMD engine runs ("avx2" or
@@ -238,11 +210,18 @@ class Network {
   const char* simd_isa_name() const;
 
   /// Flat per-terminal footprint of the active SIMD engine in bytes, or 0
-  /// when another engine ran.
+  /// when the reference engine ran.
   std::size_t simd_bytes_per_terminal() const;
 
+  /// Old names of simd_active() and simd_bytes_per_terminal(), still
+  /// called by perfbench's sim_fleet workload; the next benchmark PR
+  /// renames those calls and deletes these two forwards.
+  bool soa_active() const { return simd_active(); }
+  std::size_t soa_bytes_per_terminal() const {
+    return simd_bytes_per_terminal();
+  }
+
  private:
-  friend class SoaEngine;
   friend class SimdEngine;
   friend struct FleetPlan;
   struct Attachment {
@@ -285,21 +264,22 @@ class Network {
   void send_update(Attachment& attachment, SimTime now, Scratch& scratch);
   /// config().threads with 0 resolved to the hardware thread count.
   int resolved_threads() const;
-  /// Builds (or rejects) the struct-of-arrays engine for this run,
-  /// honoring NetworkConfig::engine; called at each run() entry.
+  /// Builds (or rejects) the SIMD engine for this run, honoring
+  /// NetworkConfig::engine; called at each run() entry.
   void select_engine();
 
   NetworkConfig config_;
   CostWeights weights_;
   EventQueue events_;
   LocationServer server_;
-  stats::Rng root_rng_;
+  /// The slot-draw contract every engine evaluates.
+  stats::SlotDraws draws_;
   std::vector<Attachment> attachments_;
   NetworkObserver* observer_ = nullptr;
   /// Always constructed (cheap, and callers may want their own metrics);
   /// heap-held so handles into it survive moves of the Network.
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  /// Pre-resolved metric handles + trace ring; null unless
+  /// Pre-resolved metric handles; null unless
   /// config_.collect_runtime_stats (the hot path then skips telemetry with
   /// one predicted branch).
   std::unique_ptr<obs_detail::RuntimeStats> stats_;
@@ -308,10 +288,8 @@ class Network {
   /// Run-timeline recorder; null unless config_.timeseries_every_slots > 0.
   /// Sampled only from the run() driver thread at segment boundaries.
   std::unique_ptr<obs::TimeseriesRecorder> timeseries_;
-  /// Struct-of-arrays fast path; null when the reference engine is in
-  /// force (non-canonical fleet, or engine = kReference).
-  std::unique_ptr<SoaEngine> soa_;
-  /// Lane-parallel SIMD fast path; non-null only under engine = kSimd.
+  /// Lane-parallel SIMD fast path; null when the reference engine is in
+  /// force (a fallback case, or engine = kReference).
   std::unique_ptr<SimdEngine> simd_;
   /// Set when user events ran mid-run: they may have re-targeted policies
   /// (set_threshold) or attached terminals, so the next event-free segment

@@ -1,7 +1,7 @@
 // Pre-resolved telemetry handles for the simulation hot paths.
 //
 // Shared by the polymorphic reference engine (network.cpp) and the
-// struct-of-arrays fast path (soa_engine.cpp): both flush the same
+// lane-parallel SIMD engine (simd_engine.cpp): both flush the same
 // per-worker EventTally into the same registry counters, so the metric
 // catalogue (docs/observability.md) is engine-independent.
 #pragma once
@@ -18,15 +18,13 @@ namespace pcn::sim::obs_detail {
 /// telemetry overhead inside the 3% gate (tools/run_checks.sh).
 inline constexpr std::uint64_t kPageSampleEvery = 32;
 
-/// Pre-resolved telemetry handles for the simulation hot paths, plus the
-/// span trace ring.  Resolved once at Network construction so the slot
-/// loop never touches the registry's name index; every increment is one
-/// relaxed atomic add on a per-shard cell (see docs/observability.md for
-/// the metric catalogue).
+/// Pre-resolved telemetry handles for the simulation hot paths.  Resolved
+/// once at Network construction so the slot loop never touches the
+/// registry's name index; every increment is one relaxed atomic add on a
+/// per-shard cell (see docs/observability.md for the metric catalogue).
 struct RuntimeStats {
-  RuntimeStats(obs::MetricsRegistry& registry, std::size_t trace_capacity)
-      : trace(trace_capacity),
-        run_count(registry.counter("sim.run.count")),
+  explicit RuntimeStats(obs::MetricsRegistry& registry)
+      : run_count(registry.counter("sim.run.count")),
         run_slots(registry.counter("sim.run.slots")),
         run_wall_ns(registry.counter("sim.run.wall_ns")),
         segment_count(registry.counter("sim.segment.count")),
@@ -64,7 +62,6 @@ struct RuntimeStats {
     tally.page_tick = tick;
   }
 
-  obs::TraceRing trace;
   obs::Counter run_count, run_slots, run_wall_ns;
   obs::Counter segment_count, segment_parallel, segment_wall_ns;
   obs::Counter shard_wall_ns, page_wall_ns;

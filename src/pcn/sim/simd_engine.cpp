@@ -13,7 +13,6 @@
 #include "pcn/sim/simd_kernel.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/sim/update_policy.hpp"
-#include "pcn/stats/counter_rng.hpp"
 
 namespace pcn::sim {
 
@@ -27,10 +26,6 @@ using simd_detail::LaneBlock;
 /// dynamic lane state plus its slice of the static plan arrays stay well
 /// inside a per-core L2 while the kernels stream over the slot range.
 constexpr std::size_t kBatchLanes = 512;
-
-/// Salt ("pcn-simd") separating the engine's Philox key from every other
-/// stream derived from the network seed (see stats::rng_detail::seed_from).
-constexpr std::uint64_t kSimdKeySalt = 0x70636e2d73696d64ULL;
 
 /// Per-shard reusable lane scratch: the dynamic state, accumulators and
 /// per-terminal histogram rows of one batch.
@@ -120,8 +115,8 @@ bool SimdEngine::prepare(std::string* why) {
   if (net_.flight_ != nullptr) {
     if (why != nullptr) {
       *why =
-          "flight recording requires a bit-exact engine (reference or "
-          "soa): the simd engine has no per-event hot path to record";
+          "flight recording runs on the reference engine: the simd "
+          "engine has no per-event hot path to record";
     }
     return false;
   }
@@ -129,27 +124,15 @@ bool SimdEngine::prepare(std::string* why) {
   isa_ = support.isa;
 
   const std::size_t n = net_.attachments_.size();
-  const bool chain =
-      net_.config_.semantics == SlotSemantics::kChainFaithful;
-  t_call_.resize(n);
-  t_move_.resize(n);
   tid_lo_.resize(n);
   tid_hi_.resize(n);
   table_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Chain semantics resolve both events from one draw: call below c,
-    // move in [c, c + q).  Independent semantics use separate words.
-    t_call_[i] = stats::threshold32(plan_.c[i]);
-    t_move_[i] = stats::threshold32(chain ? plan_.qc[i] : plan_.q[i]);
     tid_lo_[i] = static_cast<std::uint32_t>(i);
     tid_hi_[i] =
         static_cast<std::uint32_t>(static_cast<std::uint64_t>(i) >> 32);
     table_[i] = &plan_.tables[static_cast<std::size_t>(plan_.table[i])];
   }
-  const stats::CounterRng key =
-      stats::CounterRng::keyed(net_.config_.seed, kSimdKeySalt);
-  key0_ = key.key_lo();
-  key1_ = key.key_hi();
   return true;
 }
 
@@ -166,7 +149,7 @@ void SimdEngine::run_segment(SimTime first, SimTime last,
     run_shard(0, n, first, last, scratch);
     return;
   }
-  // Same fan-out shape as the other engines: worker s owns telemetry
+  // Same fan-out shape as the reference engine: worker s owns telemetry
   // shard s, shard 0 runs on the caller.  The shard boundaries don't
   // affect results — every lane draws from its own counter stream.
   std::vector<std::exception_ptr> errors(shards);
@@ -200,8 +183,7 @@ void SimdEngine::run_shard(std::size_t begin, std::size_t end,
                            Network::Scratch& scratch) {
   std::optional<obs::ScopedTimer> shard_timer;
   if (net_.stats_ != nullptr) {
-    shard_timer.emplace(net_.stats_->shard_wall_ns, &net_.stats_->trace,
-                        "net.shard", scratch.shard);
+    shard_timer.emplace(net_.stats_->shard_wall_ns, scratch.shard);
   }
   for (std::size_t b = begin; b < end; b += kBatchLanes) {
     run_batch(b, std::min(end, b + kBatchLanes), first, last, scratch);
@@ -255,8 +237,7 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
   }
 
   KernelParams kp;
-  kp.key0 = key0_;
-  kp.key1 = key1_;
+  kp.draws = net_.draws_;
   kp.count_bytes = net_.config_.count_signalling_bytes;
   const bool twod = net_.config_.dimension == Dimension::kTwoD;
   const bool chain =
@@ -266,8 +247,8 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
     LaneBlock block;
     block.rel_q = s.rel_q.data() + k;
     block.rel_r = s.rel_r.data() + k;
-    block.t_call = t_call_.data() + begin + k;
-    block.t_move = t_move_.data() + begin + k;
+    block.t_call = plan_.t_call.data() + begin + k;
+    block.t_move = plan_.t_move.data() + begin + k;
     block.thr = plan_.thr.data() + begin + k;
     block.tid_lo = tid_lo_.data() + begin + k;
     block.tid_hi = tid_hi_.data() + begin + k;
@@ -326,10 +307,8 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
   }
 
   // Sync: lane state -> objects + metrics, including the per-terminal
-  // histogram rows (one metrics pass per batch).  Costs are folded in as
-  // weight * count here (the reference engines accumulate per event; the
-  // difference is ulp-level re-association, inside the statistical
-  // equivalence contract).
+  // histogram rows (one metrics pass per batch).  Costs are weight *
+  // count, exactly as the reference engine computes them.
   const double update_weight = net_.weights_.update_cost;
   const double poll_weight = net_.weights_.poll_cost;
   const std::int64_t range = last - first + 1;
@@ -359,8 +338,8 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
     m.updates = s.updates[k];
     m.calls += s.calls[k];
     m.polled_cells += s.polled[k];
-    m.update_cost += update_weight * static_cast<double>(new_updates);
-    m.paging_cost += poll_weight * static_cast<double>(s.polled[k]);
+    m.update_cost = update_weight * static_cast<double>(m.updates);
+    m.paging_cost = poll_weight * static_cast<double>(m.polled_cells);
     m.update_bytes += s.upd_bytes[k];
     m.paging_bytes += s.page_bytes[k];
     m.ring_distance.add_counts(s.rd_rows.data() + k * rd_stride,
@@ -383,8 +362,7 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
 }
 
 std::size_t SimdEngine::bytes_per_terminal() const {
-  return 3 * sizeof(double) +        // q, c, qc (plan)
-         5 * sizeof(std::int32_t) +  // thr, table, id/upd/resp byte consts
+  return 5 * sizeof(std::int32_t) +  // thr, table, id/upd/resp byte consts
          4 * sizeof(std::uint32_t) + // t_call, t_move, tid_lo, tid_hi
          sizeof(const PagingTable*) +
          2 * sizeof(std::int32_t) +  // rel_q, rel_r

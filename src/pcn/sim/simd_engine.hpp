@@ -1,32 +1,30 @@
 // Lane-parallel SIMD fast path for the canonical distance-update scenario.
 //
-// Same eligibility rules as the SoA engine (shared FleetPlan), different
-// evolution strategy: instead of replaying the reference engine's
-// sequential per-terminal RNG streams, every (terminal, slot) pair draws
-// its event words from a counter-based Philox4x32-10 stream keyed on the
-// network seed (stats/counter_rng.hpp).  That makes each slot a pure
-// function of (key, terminal, slot) — no loop-carried RNG state — so
-// eight terminals evolve per instruction in the AVX2 kernel, with a
-// portable scalar-emulation kernel (bit-identical by construction) as the
-// universal fallback.  Terminals are processed in cache-blocked batches
-// (kBatchLanes in simd_engine.cpp) sliced into 8-lane kernel blocks.
+// Eligibility is FleetPlan's (fleet_plan.hpp) plus two engine limits.
+// Every (terminal, slot) pair draws from the simulator's counter-based
+// slot-draw contract (stats::SlotDraws), a pure function of (seed,
+// terminal, slot) with no loop-carried RNG state, so eight terminals
+// evolve per instruction in the AVX2 kernel, with a portable scalar
+// kernel as the universal fallback.  Terminals are processed in
+// cache-blocked batches (kBatchLanes in simd_engine.cpp) sliced into
+// 8-lane kernel blocks.
 //
-// Equivalence contract — weaker than SoA's, by design: metrics are
-// *statistically* equivalent to the reference/soa pair (same distributions;
-// gated by the tier-2 oracle suite in test_prop_simd_statistical.cpp), and
-// the engine is bit-identical to itself across runs, thread counts and
-// ISA paths (tests/sim/test_simd_engine.cpp).  Because draws are
-// counter-indexed, the engine never consumes the terminals' sequential
-// streams: a reference/soa run after a simd segment continues from
-// untouched RNG state.
+// Equivalence contract: the reference engine evaluates the same draw
+// contract, so TerminalMetrics and signalling-byte counts are
+// bit-identical to it at every thread count, on every kernel, and across
+// run segmentation (tests/sim/test_simd_engine.cpp).  That is why
+// SimEngine::kAuto selects this engine whenever it can run.
 //
-// Deliberate limits (prepare() rejects, run() reports via InvalidArgument):
-//   * flight recording — per-event recording needs the bit-exact engines;
+// Engine limits (prepare() rejects; kAuto then runs the reference engine,
+// forced kSimd throws InvalidArgument):
+//   * flight recording — the kernels have no per-event hot path to record;
 //   * PCN_SIMD_ISA=none — every kernel disabled (test hook).
 // Telemetry under this engine keeps all event counters exact (folded in at
-// batch sync) but skips the per-page sampled spans/histograms
-// (net.page wall time, page_cycles, page_polled) — there is no per-page
-// hot-path hook to hang them on.  docs/usage.md documents both.
+// batch sync) but leaves the 1-in-32 sampled per-page series empty
+// (sim.page.cycles, sim.page.polled_per_call, sim.page.wall_ns) — there is
+// no per-page hot-path hook to hang them on.  RunReport's
+// paging_delay_cycles comes from TerminalMetrics and stays exact.
+// docs/usage.md documents both.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +64,8 @@ class SimdEngine {
   explicit SimdEngine(Network& net);
 
   /// Probes kernel support, verifies the fleet is canonical (FleetPlan),
-  /// rejects flight recording, and (re)builds the flat per-terminal plan,
-  /// the fixed-point event thresholds and the Philox key.  Returns false
+  /// rejects flight recording, and (re)builds the flat per-terminal plan
+  /// and lane arrays.  Returns false
   /// with the first offending condition in `*why` when the engine cannot
   /// run.
   bool prepare(std::string* why);
@@ -79,7 +77,7 @@ class SimdEngine {
                    bool use_workers);
 
   /// Flat engine state per terminal, in bytes (static plan + hot lane
-  /// arrays); 173, pinned by tests/sim/test_simd_engine.cpp.
+  /// arrays); 149, pinned by tests/sim/test_simd_engine.cpp.
   std::size_t bytes_per_terminal() const;
 
   /// The kernel path selected by the last successful prepare().
@@ -99,19 +97,13 @@ class SimdEngine {
   Network& net_;
   SimdIsa isa_ = SimdIsa::kPortable;
 
-  /// Static per-terminal plan + interned paging tables (shared shape with
-  /// the SoA engine — see fleet_plan.hpp).
+  /// Static per-terminal plan + interned paging tables (fleet_plan.hpp).
   FleetPlan plan_;
 
   // ---- static lane arrays, rebuilt by prepare() (indexed by attachment
   // order; kernels alias them at the block offset) ----
-  std::vector<std::uint32_t> t_call_, t_move_;  ///< fixed-point thresholds
   std::vector<std::uint32_t> tid_lo_, tid_hi_;  ///< Philox stream words
   std::vector<const PagingTable*> table_;       ///< resolved table pointer
-
-  /// Philox key halves, derived from the network seed (see kSimdKeySalt
-  /// in simd_engine.cpp).
-  std::uint32_t key0_ = 0, key1_ = 0;
 };
 
 }  // namespace pcn::sim

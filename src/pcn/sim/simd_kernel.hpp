@@ -1,43 +1,32 @@
 // Kernel ABI for the lane-parallel SIMD slot-loop engine.
 //
 // The engine (simd_engine.cpp) slices each cache-blocked terminal batch
-// into 8-lane blocks and hands every block to one of two kernels over an
+// into 8-lane blocks and hands every block to one of three kernels over an
 // event-free slot range:
 //
-//   * run_block_portable — straight-line scalar integer code, built into
-//     every binary; also serves partial (< 8 lane) tail blocks.
-//   * run_block_avx2     — the same arithmetic eight lanes per
+//   * run_block_portable  — scalar code, built into every binary; also
+//     serves partial (< 8 lane) tail blocks.  Each lane-slot evaluates the
+//     draw contract's scalar form, stats::SlotDraws::draw, verbatim — the
+//     same call the reference engine makes.
+//   * run_block_avx2      — the same arithmetic eight lanes per
 //     instruction, compiled into its own TU with -mavx2 and dispatched
 //     only when cpuid reports AVX2 (simd_engine.cpp).
+//   * run_block_pair_avx2 — two 8-lane blocks as sixteen int16 lanes, for
+//     chain-faithful fleets whose walk state fits int16.
 //
-// Both kernels perform *identical* integer arithmetic — Philox4x32-10
-// event words, fixed-point threshold compares, LUT walk steps, hex ring
-// distance — and both funnel rare events (location updates, calls)
-// through the shared scalar rare_slot below, so their outputs are
-// bit-identical by construction (tests/sim/test_simd_engine.cpp compares
-// them directly).  That makes the AVX2/portable choice and the thread
-// count invisible in the results; only the counter-based draw streams
-// distinguish the simd engine from the soa/reference pair.
-//
-// Draw mapping.  Chain-faithful slots resolve both events from one draw
-// plus a walk direction, and 16 bits cover each exactly (see below), so
-// one Philox block serves FOUR slots: counter (t >> 2, terminal), with
-// the event halfwords packed into words 0–1 and the direction halfwords
-// into words 2–3 (slot t & 3 reads halfword t & 1 of word (t >> 1) & 1)
-// — quartering the dominant Philox cost.  Independent slots need three
-// full words (move, call, direction) and keep one block per slot:
-// counter (t, terminal), words 0–2.  Both mappings are stateless in t,
-// which is what keeps results independent of segmentation and threading.
-//
-// The 16-bit event draw is *exact*: the halfword is compared against the
-// high halves of the fixed-point thresholds, and only when it ties one
-// of them (probability <= 2^-15) do the low 16 bits matter — those come
-// from a dedicated refinement block (refine16 below, counter high bit
-// set for domain separation), reconstructing a full uniform 32-bit draw.
-// The 16-bit direction draw maps through (d * 6) >> 16, whose per-
-// direction probabilities differ from 1/6 by < 2^-16 — inside the simd
-// engine's statistical-equivalence contract (the event probabilities,
-// where thresholds live, stay bit-exact).
+// Draw contract.  All three follow stats::SlotDraws (counter_rng.hpp):
+// chain-faithful slots read event and direction halfwords from one Philox
+// block per four slots, independent slots read three full words of one
+// block per slot.  Event halfwords that tie a threshold's high half, and
+// 2-D direction draws that Lemire's multiply-shift sends to refinement
+// (4 of 2^16 halfwords, 4 of 2^32 words), leave the vector path: the lane
+// takes the contract's scalar helpers (SlotDraws::chain_events,
+// SlotDraws::refined_direction) and the vector masks are patched.  Rare
+// events (location updates, calls) funnel through the shared scalar
+// rare_slot below.  So every kernel — and the reference engine — makes
+// the same decisions from the same words, and the engine's results are
+// bit-identical to the reference engine's at any thread count
+// (tests/sim/test_simd_engine.cpp, tests/stats/test_counter_rng.cpp).
 //
 // Everything here is pure integer: costs (weight * count) and telemetry
 // are folded in by the engine at batch sync, so the kernels never touch
@@ -56,8 +45,7 @@ namespace pcn::sim::simd_detail {
 inline constexpr int kLanes = 8;
 
 struct KernelParams {
-  std::uint32_t key0 = 0;  ///< counter-RNG key (seed_from(seed, salt))
-  std::uint32_t key1 = 0;
+  stats::SlotDraws draws{0};  ///< the draw contract, keyed by the seed
   bool count_bytes = true;
 };
 
@@ -98,7 +86,7 @@ struct LaneBlock {
 };
 
 /// Axial unit directions in hex_directions() order (entries 6–7 pad the
-/// table to a full 8-lane permute; the direction draw is always < 6).
+/// table to a full 8-lane permute; the neighbor index is always < 6).
 inline constexpr std::int32_t kDirQ[8] = {1, 1, 0, -1, -1, 0, 0, 0};
 inline constexpr std::int32_t kDirR[8] = {0, -1, -1, 0, 1, 1, 0, 0};
 
@@ -106,7 +94,7 @@ inline constexpr std::int32_t kDirR[8] = {0, -1, -1, 0, 1, 1, 0, 0};
 /// (dist > threshold) and/or the call.  `dist` is the post-move ring
 /// distance; both events reset the relative position, so the slot's
 /// occupancy sample is 0 whenever this runs (the caller files it).
-/// Shared verbatim by both kernels — the bit-identity anchor.
+/// Shared verbatim by every kernel.
 inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
                       SimTime t, bool called, std::int64_t dist) {
   using plan_detail::signed_len;
@@ -162,73 +150,25 @@ inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
   }
 }
 
-/// Low 16 bits of a boundary refinement draw for (terminal, t): counter
-/// high bit set, which no group counter (t >> 2) can reach, so the
-/// stream is disjoint from the slot draws.  Shared verbatim by both
-/// kernels — part of the bit-identity anchor.
-inline std::uint32_t refine16(const KernelParams& kp, const LaneBlock& b,
-                              int lane, SimTime t) {
-  const auto ut = static_cast<std::uint64_t>(t);
-  const stats::PhiloxWords w = stats::philox4x32(
-      kp.key0, kp.key1, static_cast<std::uint32_t>(ut),
-      static_cast<std::uint32_t>(ut >> 32) | 0x80000000u, b.tid_lo[lane],
-      b.tid_hi[lane]);
-  return w[0] & 0xFFFFu;
+/// The terminal id a lane's Philox stream words carry.
+inline std::uint64_t lane_terminal(const LaneBlock& b, int lane) {
+  return b.tid_lo[lane] | std::uint64_t{b.tid_hi[lane]} << 32;
 }
 
-/// One lane-slot of the portable kernel: exactly the integer arithmetic
-/// the AVX2 lanes perform, in emission order.
+/// One lane-slot of the portable kernel: the contract's scalar draw, the
+/// walk step, the ring distance and the rare tail.
 template <bool kTwoD, bool kChain>
 inline void lane_slot(const KernelParams& kp, const LaneBlock& b, int lane,
                       SimTime t) {
-  bool called;
-  bool moved;
-  std::uint32_t dir_draw;  // chain: 16-bit halfword; else: full word
-  if constexpr (kChain) {
-    // Quad draw: block (t >> 2, terminal); slot t & 3 reads event and
-    // direction halfwords (t & 1) of words (t >> 1) & 1 and 2 + that.
-    const auto group = static_cast<std::uint64_t>(t) >> 2;
-    const stats::PhiloxWords w = stats::philox4x32(
-        kp.key0, kp.key1, static_cast<std::uint32_t>(group),
-        static_cast<std::uint32_t>(group >> 32), b.tid_lo[lane],
-        b.tid_hi[lane]);
-    const auto word = static_cast<std::size_t>((t >> 1) & 1);
-    const auto shift = static_cast<unsigned>((t & 1) * 16);
-    const std::uint32_t e16 = (w[word] >> shift) & 0xFFFFu;
-    dir_draw = (w[2 + word] >> shift) & 0xFFFFu;
-    // One event draw resolves the competing events (q + c <= 1 verified
-    // by FleetPlan::build): call wins below t_call, a move below t_move.
-    // The halfword against the threshold high halves decides except on a
-    // tie, where the refinement block supplies the exact low 16 bits.
-    const std::uint32_t tc = b.t_call[lane];
-    const std::uint32_t tm = b.t_move[lane];
-    if (e16 == tc >> 16 || e16 == tm >> 16) {
-      const std::uint32_t x = (e16 << 16) | refine16(kp, b, lane, t);
-      called = x < tc;
-      moved = !called && x < tm;
-    } else {
-      called = e16 < tc >> 16;
-      moved = !called && e16 < tm >> 16;
-    }
-  } else {
-    const stats::PhiloxWords w = stats::philox4x32(
-        kp.key0, kp.key1, static_cast<std::uint32_t>(t),
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(t) >> 32),
-        b.tid_lo[lane], b.tid_hi[lane]);
-    moved = w[0] < b.t_move[lane];
-    called = w[1] < b.t_call[lane];
-    dir_draw = w[2];
-  }
-  if (moved) {
+  const stats::SlotDraws::Slot draw =
+      kp.draws.draw(lane_terminal(b, lane), t, kChain, kTwoD,
+                    b.t_call[lane], b.t_move[lane]);
+  if (draw.moved) {
     if constexpr (kTwoD) {
-      // Chain halfwords scale by 2^-16, full words by 2^-32.
-      const auto dir = static_cast<std::size_t>(
-          kChain ? (dir_draw * 6u) >> 16
-                 : (std::uint64_t{dir_draw} * 6) >> 32);
-      b.rel_q[lane] += kDirQ[dir];
-      b.rel_r[lane] += kDirR[dir];
+      b.rel_q[lane] += kDirQ[draw.neighbor];
+      b.rel_r[lane] += kDirR[draw.neighbor];
     } else {
-      b.rel_q[lane] += static_cast<std::int32_t>((dir_draw & 1u) * 2) - 1;
+      b.rel_q[lane] += draw.neighbor * 2 - 1;
     }
     ++b.moves[lane];
   }
@@ -240,8 +180,8 @@ inline void lane_slot(const KernelParams& kp, const LaneBlock& b, int lane,
   } else {
     dist = std::llabs(std::int64_t{b.rel_q[lane]});
   }
-  if (dist > b.thr[lane] || called) {
-    rare_slot(kp, b, lane, t, called, dist);
+  if (dist > b.thr[lane] || draw.called) {
+    rare_slot(kp, b, lane, t, draw.called, dist);
     dist = 0;
   }
   b.rd_rows[lane * b.rd_stride + dist]++;
@@ -266,11 +206,11 @@ void run_block_avx2(const KernelParams& kp, const LaneBlock& block,
 inline constexpr std::int32_t kPairMaxThreshold = 8190;
 
 /// Runs TWO full 8-lane blocks over slots [first, last] as sixteen int16
-/// lanes per vector — the chain-faithful fast path.  The event halfwords
-/// and direction draws are 16-bit by construction (see the quad mapping
-/// above), and every other per-slot quantity (relative position, ring
-/// distance, per-chunk move/occupancy counts) fits int16 when every
-/// threshold is <= kPairMaxThreshold — the caller's gate.  Bit-identical
+/// lanes per vector — the chain-faithful fast path.  The event and
+/// direction halfwords are 16-bit by the contract's quad mapping, and
+/// every other per-slot quantity (relative position, ring distance,
+/// per-chunk move/occupancy counts) fits int16 when every threshold is
+/// <= kPairMaxThreshold — the caller's gate.  Bit-identical
 /// to running the blocks through run_block_avx2 / run_block_portable.
 void run_block_pair_avx2(const KernelParams& kp, const LaneBlock& a,
                          const LaneBlock& b, bool two_d, SimTime first,

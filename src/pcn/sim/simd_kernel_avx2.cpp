@@ -3,17 +3,17 @@
 // and called only after simd_support() saw cpuid report AVX2, so the rest
 // of the binary stays free of AVX2 encodings.
 //
-// The arithmetic is the integer-for-integer image of lane_slot in
-// simd_kernel.hpp: Philox4x32-10 draws under the quad-halfword (chain)
-// or per-slot (independent) counter mapping documented there, threshold
-// compares against halfword or sign-bias-flipped words, the hex
-// direction LUT through a cross-lane permute, and |dq|+|dr|+|dq+dr| >> 1
-// ring distance.  Rare events (updates, calls, halfword/threshold ties)
-// exit through a movemask into the shared scalar helpers, after spilling
-// the hot vectors — so the only vector/scalar divergence surface is the
-// common-case slot, which is branch-free and exact.
-// tests/sim/test_simd_engine.cpp pins the bit-identity against
-// run_block_portable.
+// The arithmetic is the integer-for-integer image of the draw contract
+// (stats::SlotDraws): Philox4x32-10 draws under the quad-halfword (chain)
+// or per-slot (independent) counter mapping, threshold compares against
+// halfword or sign-bias-flipped words, Lemire's multiply-shift onto the
+// hex direction LUT through a cross-lane permute, and |dq|+|dr|+|dq+dr|
+// >> 1 ring distance.  Rare events (updates, calls, halfword/threshold
+// ties, direction draws sent to refinement) exit through a movemask into
+// the contract's scalar helpers, after spilling the hot vectors — so the
+// only vector/scalar divergence surface is the common-case slot, which is
+// branch-free and exact.  tests/sim/test_simd_engine.cpp pins the
+// bit-identity against run_block_portable and the reference engine.
 #include "pcn/sim/simd_kernel.hpp"
 
 #if PCN_HAVE_AVX2_KERNEL
@@ -36,12 +36,6 @@ inline void mulhilo_epu32(__m256i a, __m256i m, __m256i& hi, __m256i& lo) {
   const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), m);
   lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
   hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
-}
-
-inline __m256i mulhi_epu32(__m256i a, __m256i m) {
-  const __m256i even = _mm256_mul_epu32(a, m);
-  const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), m);
-  return _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
 }
 
 /// Eight Philox4x32-10 blocks: counter = (`counter`, stream lane), one
@@ -87,19 +81,32 @@ inline __m256i load8(const void* p) {
   return _mm256_loadu_si256(static_cast<const __m256i*>(p));
 }
 
+/// Lanes whose direction draw the contract sends to refinement: the low
+/// 16 (chain) or 32 (independent) bits of 6d below 4.
+inline __m256i needs_refine_epi32(__m256i low) {
+  return _mm256_cmpeq_epi32(
+      _mm256_and_si256(low, _mm256_set1_epi32(~3)), _mm256_setzero_si256());
+}
+
 template <bool kTwoD, bool kChain>
 void run_block_impl(const KernelParams& kp, const LaneBlock& b,
                     SimTime first, SimTime last) {
+  const std::uint32_t key0 = kp.draws.key_lo();
+  const std::uint32_t key1 = kp.draws.key_hi();
   const __m256i bias = _mm256_set1_epi32(
       static_cast<int>(0x80000000u));
   // Thresholds pre-flipped so the unsigned "word < threshold" compare
   // becomes a signed greater-than (independent path; the chain compares
-  // halfwords < 2^16, where plain signed compares are already exact).
+  // halfwords < 2^16, where plain signed compares are already exact).  A
+  // kCertain move threshold (q = 1) always fires; call thresholds are
+  // never kCertain (c < 1).
   const __m256i tcall = _mm256_xor_si256(load8(b.t_call), bias);
   const __m256i tmove = _mm256_xor_si256(load8(b.t_move), bias);
+  const __m256i move_certain = _mm256_cmpeq_epi32(
+      load8(b.t_move), _mm256_set1_epi32(static_cast<int>(stats::kCertain)));
   const __m256i tcall_hi = _mm256_srli_epi32(load8(b.t_call), 16);
   const __m256i tmove_hi = _mm256_srli_epi32(load8(b.t_move), 16);
-  const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
+  [[maybe_unused]] const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
   const __m256i thr = load8(b.thr);
   const __m256i tid_lo = load8(b.tid_lo);
   const __m256i tid_hi = load8(b.tid_hi);
@@ -145,8 +152,8 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
       const int tie_mask = _mm256_movemask_ps(_mm256_castsi256_ps(tie));
       if (tie_mask != 0) [[unlikely]] {
         // A halfword tied a threshold high half (p <= 2^-15 per lane):
-        // resolve those lanes exactly with the refinement draw, then
-        // patch the decision masks (same arithmetic as lane_slot).
+        // resolve those lanes with the contract's exact scalar rule, then
+        // patch the decision masks.
         alignas(32) std::int32_t ev_arr[kLanes];
         alignas(32) std::int32_t called_arr[kLanes];
         alignas(32) std::int32_t moved_arr[kLanes];
@@ -155,27 +162,48 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
         _mm256_store_si256(reinterpret_cast<__m256i*>(moved_arr), moved);
         for (int m = tie_mask; m != 0; m &= m - 1) {
           const int lane = __builtin_ctz(static_cast<unsigned>(m));
-          const std::uint32_t x =
-              (static_cast<std::uint32_t>(ev_arr[lane]) << 16) |
-              refine16(kp, b, lane, t);
-          const bool c = x < b.t_call[lane];
-          called_arr[lane] = c ? -1 : 0;
-          moved_arr[lane] = (!c && x < b.t_move[lane]) ? -1 : 0;
+          const stats::SlotDraws::Slot ev = kp.draws.chain_events(
+              lane_terminal(b, lane), t,
+              static_cast<std::uint32_t>(ev_arr[lane]), b.t_call[lane],
+              b.t_move[lane]);
+          called_arr[lane] = ev.called ? -1 : 0;
+          moved_arr[lane] = ev.moved ? -1 : 0;
         }
         called = load8(called_arr);
         moved = load8(moved_arr);
       }
     } else {
       const __m256i wef = _mm256_xor_si256(we, bias);
-      moved = _mm256_cmpgt_epi32(tmove, wef);
+      moved = _mm256_or_si256(_mm256_cmpgt_epi32(tmove, wef), move_certain);
       called = _mm256_cmpgt_epi32(tcall, _mm256_xor_si256(wc, bias));
     }
     if constexpr (kTwoD) {
-      // Halfword draws scale by 2^-16 (mullo + shift); full words by
-      // 2^-32 (the pmuludq high halves).
-      const __m256i dir =
-          kChain ? _mm256_srli_epi32(_mm256_mullo_epi32(wd, six), 16)
-                 : mulhi_epu32(wd, six);
+      // Lemire's multiply-shift: halfword draws scale by 2^-16 (mullo +
+      // shift), full words by 2^-32 (the pmuludq high halves); the low
+      // bits of the product flag the draws that go to refinement.
+      __m256i dir;
+      __m256i low;
+      if constexpr (kChain) {
+        const __m256i m6 = _mm256_mullo_epi32(wd, six);
+        dir = _mm256_srli_epi32(m6, 16);
+        low = _mm256_and_si256(m6, lo16);
+      } else {
+        mulhilo_epu32(wd, six, dir, low);
+      }
+      const __m256i refine =
+          _mm256_and_si256(moved, needs_refine_epi32(low));
+      const int refine_mask =
+          _mm256_movemask_ps(_mm256_castsi256_ps(refine));
+      if (refine_mask != 0) [[unlikely]] {
+        alignas(32) std::int32_t dir_arr[kLanes];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(dir_arr), dir);
+        for (int m = refine_mask; m != 0; m &= m - 1) {
+          const int lane = __builtin_ctz(static_cast<unsigned>(m));
+          dir_arr[lane] =
+              kp.draws.refined_direction(lane_terminal(b, lane), t);
+        }
+        dir = load8(dir_arr);
+      }
       const __m256i dq = _mm256_permutevar8x32_epi32(dir_q, dir);
       const __m256i dr = _mm256_permutevar8x32_epi32(dir_r, dir);
       rel_q = _mm256_add_epi32(rel_q, _mm256_and_si256(moved, dq));
@@ -268,7 +296,7 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
       // Head: enter the quad grid (at most three slots, at a segment or
       // chunk boundary).
       if ((t & 3) != 0) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t) >> 2,
+        philox8(key0, key1, static_cast<std::uint64_t>(t) >> 2,
                 tid_lo, tid_hi, w0, w1, w2, w3);
         for (; t <= chunk_last && (t & 3) != 0; ++t) quad_slot(t);
       }
@@ -281,9 +309,8 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
         __m256i x1;
         __m256i x2;
         __m256i x3;
-        philox8(kp.key0, kp.key1, group, tid_lo, tid_hi, w0, w1, w2, w3);
-        philox8(kp.key0, kp.key1, group + 1, tid_lo, tid_hi, x0, x1, x2,
-                x3);
+        philox8(key0, key1, group, tid_lo, tid_hi, w0, w1, w2, w3);
+        philox8(key0, key1, group + 1, tid_lo, tid_hi, x0, x1, x2, x3);
         slot_step(half_lo(w0), w0, half_lo(w2), t);
         slot_step(half_hi(w0), w0, half_hi(w2), t + 1);
         slot_step(half_lo(w1), w1, half_lo(w3), t + 2);
@@ -294,8 +321,8 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
         slot_step(half_hi(x1), x1, half_hi(x3), t + 7);
       }
       for (; t + 3 <= chunk_last; t += 4) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t) >> 2,
-                tid_lo, tid_hi, w0, w1, w2, w3);
+        philox8(key0, key1, static_cast<std::uint64_t>(t) >> 2, tid_lo,
+                tid_hi, w0, w1, w2, w3);
         slot_step(half_lo(w0), w0, half_lo(w2), t);
         slot_step(half_hi(w0), w0, half_hi(w2), t + 1);
         slot_step(half_lo(w1), w1, half_lo(w3), t + 2);
@@ -303,14 +330,14 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
       }
       // Tail: a partial quad (chunk or segment end).
       if (t <= chunk_last) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t) >> 2,
-                tid_lo, tid_hi, w0, w1, w2, w3);
+        philox8(key0, key1, static_cast<std::uint64_t>(t) >> 2, tid_lo,
+                tid_hi, w0, w1, w2, w3);
         for (; t <= chunk_last; ++t) quad_slot(t);
       }
     } else {
       for (; t <= chunk_last; ++t) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t), tid_lo,
-                tid_hi, w0, w1, w2, w3);
+        philox8(key0, key1, static_cast<std::uint64_t>(t), tid_lo, tid_hi,
+                w0, w1, w2, w3);
         slot_step(w0, w1, w2, t);
       }
     }
@@ -359,13 +386,16 @@ constexpr SimTime kPairFlushChunk = SimTime{1} << 14;
 template <bool kTwoD>
 void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
                    const LaneBlock& B, SimTime first, SimTime last) {
+  const std::uint32_t key0 = kp.draws.key_lo();
+  const std::uint32_t key1 = kp.draws.key_hi();
   const __m256i bias16 = _mm256_set1_epi16(static_cast<short>(0x8000));
   const __m256i m16 = _mm256_set1_epi32(0xFFFF);
   const __m256i one16 = _mm256_set1_epi16(1);
   [[maybe_unused]] const __m256i six16 = _mm256_set1_epi16(6);
   [[maybe_unused]] const __m256i ff16 = _mm256_set1_epi16(0x00FF);
+  [[maybe_unused]] const __m256i not3_16 = _mm256_set1_epi16(~3);
   // Byte LUTs for the hex walk, entries kDir{Q,R}[dir] + 1 (so they fit
-  // unsigned bytes).  The direction draw is < 6; the odd bytes of the
+  // unsigned bytes).  The neighbor index is < 6; the odd bytes of the
   // epi16 index vector are zero and their lookups are masked off.
   [[maybe_unused]] const __m256i lutq = _mm256_setr_epi8(
       2, 2, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  //
@@ -424,9 +454,8 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
                         _mm256_cmpeq_epi16(web, tmove16));
     const int tie_mask = _mm256_movemask_epi8(tie) & 0x55555555;
     if (tie_mask != 0) [[unlikely]] {
-      // A halfword tied a threshold high half: resolve those lanes
-      // exactly with the refinement draw and patch the decision masks
-      // (same arithmetic as lane_slot).
+      // A halfword tied a threshold high half: resolve those lanes with
+      // the contract's exact scalar rule and patch the decision masks.
       alignas(32) std::int16_t ev_arr[16];
       alignas(32) std::int16_t called_arr[16];
       alignas(32) std::int16_t moved_arr[16];
@@ -437,12 +466,12 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
         const int j = __builtin_ctz(static_cast<unsigned>(m)) >> 1;
         const LaneBlock& blk = *blocks[kPairBlk[j]];
         const int lane = kPairLn[j];
-        const std::uint32_t e16 =
-            static_cast<std::uint16_t>(ev_arr[j]) ^ 0x8000u;
-        const std::uint32_t x = (e16 << 16) | refine16(kp, blk, lane, t);
-        const bool c = x < blk.t_call[lane];
-        called_arr[j] = c ? -1 : 0;
-        moved_arr[j] = (!c && x < blk.t_move[lane]) ? -1 : 0;
+        const stats::SlotDraws::Slot ev = kp.draws.chain_events(
+            lane_terminal(blk, lane), t,
+            static_cast<std::uint16_t>(ev_arr[j]) ^ 0x8000u,
+            blk.t_call[lane], blk.t_move[lane]);
+        called_arr[j] = ev.called ? -1 : 0;
+        moved_arr[j] = ev.moved ? -1 : 0;
       }
       called =
           _mm256_load_si256(reinterpret_cast<const __m256i*>(called_arr));
@@ -450,9 +479,28 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
           _mm256_load_si256(reinterpret_cast<const __m256i*>(moved_arr));
     }
     if constexpr (kTwoD) {
-      // dir = (d16 * 6) >> 16 is one epu16 high multiply; the axial
-      // steps come from the byte LUTs, unbiased after the mask.
-      const __m256i dir = _mm256_mulhi_epu16(wd, six16);
+      // Lemire's multiply-shift: dir = (d16 * 6) >> 16 is one epu16 high
+      // multiply, and the low product flags the halfwords that go to
+      // refinement.  The axial steps come from the byte LUTs, unbiased
+      // after the mask.
+      __m256i dir = _mm256_mulhi_epu16(wd, six16);
+      const __m256i refine = _mm256_and_si256(
+          moved,
+          _mm256_cmpeq_epi16(
+              _mm256_and_si256(_mm256_mullo_epi16(wd, six16), not3_16),
+              _mm256_setzero_si256()));
+      const int refine_mask = _mm256_movemask_epi8(refine) & 0x55555555;
+      if (refine_mask != 0) [[unlikely]] {
+        alignas(32) std::int16_t dir_arr[16];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(dir_arr), dir);
+        for (int m = refine_mask; m != 0; m &= m - 1) {
+          const int j = __builtin_ctz(static_cast<unsigned>(m)) >> 1;
+          const LaneBlock& blk = *blocks[kPairBlk[j]];
+          dir_arr[j] = static_cast<std::int16_t>(kp.draws.refined_direction(
+              lane_terminal(blk, kPairLn[j]), t));
+        }
+        dir = _mm256_load_si256(reinterpret_cast<const __m256i*>(dir_arr));
+      }
       const __m256i dq = _mm256_sub_epi16(
           _mm256_and_si256(_mm256_shuffle_epi8(lutq, dir), ff16), one16);
       const __m256i dr = _mm256_sub_epi16(
@@ -550,19 +598,19 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     // Head: enter the quad grid (at most three slots).
     if ((t & 3) != 0) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(key0, key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(key0, key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
       for (; t <= chunk_last && (t & 3) != 0; ++t) quad_slot(t);
     }
     // Four independent Philox chains in flight (two counters x two
     // blocks) keep the multiplier pipe busy through the 10 rounds.
     for (; t + 7 <= chunk_last; t += 8) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group + 1, tidA_lo, tidA_hi, x0, x1, x2,
+      philox8(key0, key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(key0, key1, group + 1, tidA_lo, tidA_hi, x0, x1, x2,
               x3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
-      philox8(kp.key0, kp.key1, group + 1, tidB_lo, tidB_hi, d0, d1, d2,
+      philox8(key0, key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(key0, key1, group + 1, tidB_lo, tidB_hi, d0, d1, d2,
               d3);
       slot_step(_mm256_xor_si256(pack_lo(w0, c0), bias16), pack_lo(w2, c2),
                 t);
@@ -583,8 +631,8 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     }
     for (; t + 3 <= chunk_last; t += 4) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(key0, key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(key0, key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
       slot_step(_mm256_xor_si256(pack_lo(w0, c0), bias16), pack_lo(w2, c2),
                 t);
       slot_step(_mm256_xor_si256(pack_hi(w0, c0), bias16), pack_hi(w2, c2),
@@ -597,8 +645,8 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     // Tail: a partial quad (chunk or segment end).
     if (t <= chunk_last) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(key0, key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(key0, key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
       for (; t <= chunk_last; ++t) quad_slot(t);
     }
     // Flush the packed int16 accumulators into the per-lane rows.

@@ -1,6 +1,8 @@
-// A mobile terminal: position, mobility process, update policy, and its own
-// random streams (one for movement, one for call arrivals) so that runs are
-// reproducible independently of scheduling order.
+// A mobile terminal: position, mobility process and update policy.  Its
+// random decisions are not state it carries: the slot loop draws them from
+// the simulator's counter-based slot-draw contract (stats::SlotDraws),
+// keyed by (seed, terminal id, slot), so runs are reproducible
+// independently of scheduling order.
 #pragma once
 
 #include <memory>
@@ -10,7 +12,6 @@
 #include "pcn/sim/location_server.hpp"
 #include "pcn/sim/mobility.hpp"
 #include "pcn/sim/update_policy.hpp"
-#include "pcn/stats/rng.hpp"
 
 namespace pcn::sim {
 
@@ -18,7 +19,7 @@ class Terminal {
  public:
   Terminal(TerminalId id, geometry::Cell start, double call_prob,
            std::unique_ptr<MobilityModel> mobility,
-           std::unique_ptr<UpdatePolicy> update_policy, stats::Rng rng);
+           std::unique_ptr<UpdatePolicy> update_policy);
 
   TerminalId id() const { return id_; }
   geometry::Cell position() const { return position_; }
@@ -29,11 +30,6 @@ class Terminal {
   UpdatePolicy& update_policy() { return *update_policy_; }
   const UpdatePolicy& update_policy() const { return *update_policy_; }
 
-  stats::Rng& event_rng() { return event_rng_; }
-  stats::Rng& walk_rng() { return walk_rng_; }
-  const stats::Rng& event_rng() const { return event_rng_; }
-  const stats::Rng& walk_rng() const { return walk_rng_; }
-
   void move_to(geometry::Cell cell) { position_ = cell; }
 
  private:
@@ -42,8 +38,6 @@ class Terminal {
   double call_prob_;
   std::unique_ptr<MobilityModel> mobility_;
   std::unique_ptr<UpdatePolicy> update_policy_;
-  stats::Rng event_rng_;  ///< slot event draws (call/move competition)
-  stats::Rng walk_rng_;   ///< neighbor selection
 };
 
 }  // namespace pcn::sim

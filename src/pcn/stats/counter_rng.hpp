@@ -1,4 +1,4 @@
-// Counter-based random streams for lane-parallel simulation.
+// Counter-based random streams and the simulator's slot-draw contract.
 //
 // Implements Philox4x32-10 (Salmon, Moraes, Dror & Shaw, "Parallel random
 // numbers: as easy as 1, 2, 3", SC'11 — the Random123 generator): a keyed
@@ -6,8 +6,7 @@
 // sequential xoshiro streams in rng.hpp, a counter-based draw is a pure
 // function of (key, stream, counter), so SIMD lanes need no per-lane
 // mutable state and any (terminal, slot) pair can be evaluated in any
-// order — the property the simd slot-loop engine is built on (it keys the
-// stream with the terminal id and the counter with the absolute slot).
+// order.
 //
 // The round function is ten rounds of
 //
@@ -17,9 +16,15 @@
 // implementation is verified against the published Random123 known-answer
 // vectors in tests/stats/test_counter_rng.cpp.
 //
-// Everything is header-inline: the simd kernels evaluate one block per
-// (terminal, slot) on the hot path, and the scalar form must compile down
-// to straight-line integer code so the portable fallback and the AVX2
+// On top of the generator sits SlotDraws, the one draw contract every
+// simulator walker follows: the reference engine (sim/network.cpp) and
+// the lane kernels (sim/simd_kernel*.{hpp,cpp}) decide each terminal's
+// call, move and neighbour in each slot from the same function of (seed,
+// terminal id, slot), so the two engines are bit-identical.
+//
+// Everything is header-inline: the kernels evaluate one block per
+// (terminal, slot group) on the hot path, and the scalar form must compile
+// down to straight-line integer code so the portable fallback and the AVX2
 // kernel produce bit-identical words.
 #pragma once
 
@@ -68,18 +73,28 @@ inline PhiloxWords philox4x32(std::uint32_t key0, std::uint32_t key1,
   return {c0, c1, c2, c3};
 }
 
+/// The threshold of a certain event (p >= 1); see event_below.
+inline constexpr std::uint32_t kCertain = 0xFFFFFFFFu;
+
 /// Fixed-point event threshold: for a uniform 32-bit word w,
 /// P(w < threshold32(p)) approximates p with error below 2^-32 (the
-/// nearest representable probability; p = 1 saturates at (2^32-1)/2^32).
-/// The simd engine compares event words against these thresholds instead
-/// of converting to double, keeping the hot path pure integer.
+/// nearest representable probability).  p >= 1 maps to kCertain, and
+/// every p < 1 stays strictly below it, so event_below can make p = 1
+/// exact.  The simulator compares event words against these thresholds
+/// instead of converting to double, keeping the hot path pure integer.
 inline std::uint32_t threshold32(double p) {
   if (p <= 0.0) return 0;
-  if (p >= 1.0) return 0xFFFFFFFFu;
+  if (p >= 1.0) return kCertain;
   const auto scaled =
       static_cast<std::uint64_t>(std::llround(p * 4294967296.0));
-  return scaled >= 0xFFFFFFFFull ? 0xFFFFFFFFu
-                                 : static_cast<std::uint32_t>(scaled);
+  return scaled >= kCertain ? kCertain - 1
+                            : static_cast<std::uint32_t>(scaled);
+}
+
+/// The event test for a uniform word against a threshold32 threshold:
+/// w < threshold, except that kCertain (p = 1) always fires.
+inline bool event_below(std::uint32_t w, std::uint32_t threshold) {
+  return w < threshold || threshold == kCertain;
 }
 
 /// A keyed family of stateless uniform streams.  `stream` indexes an
@@ -138,6 +153,168 @@ class CounterRng {
  private:
   std::uint32_t key0_ = 0;
   std::uint32_t key1_ = 0;
+};
+
+/// The simulator's slot-draw contract: one exact mapping from (seed,
+/// terminal id, slot) to the slot's call, move and neighbour decisions,
+/// shared verbatim by the reference engine and every lane kernel.
+///
+/// Key.  Philox keyed by seed_from(seed, kKeySalt); the stream words
+/// carry the terminal id, the counter words the slot.
+///
+/// Events.  `t_call` = threshold32(c); `t_move` = threshold32(c + q)
+/// under chain-faithful semantics (one draw: call below t_call, else a
+/// move below t_move) and threshold32(q) under independent semantics.
+///   * Chain-faithful: block (slot >> 2) serves four slots.  Slot t reads
+///     the event halfword (t & 1) of word (t >> 1) & 1 and the direction
+///     halfword at the same position of word 2 + ((t >> 1) & 1).  The
+///     event halfword is compared with the thresholds' high halves; on a
+///     tie (probability <= 2^-15) the low 16 bits come from refine16,
+///     reconstructing an exact 32-bit draw.
+///   * Independent: block (slot) serves one slot: word 0 is the move
+///     word, word 1 the call word, word 2 the direction word.
+///   An event fires when event_below(draw, threshold).
+///
+/// Direction.  In 1-D the neighbour is bit 0 of the direction draw (0 =
+/// q - 1, 1 = q + 1).  In 2-D it is Lemire's multiply-shift on the
+/// direction draw d of k = 16 (chain) or 32 (independent) bits: the
+/// neighbour is (6d) >> k unless the low k bits of 6d fall below
+/// 2^k mod 6 = 4.  Those 4 values go to refinement, which leaves each of
+/// the 6 neighbours exactly (2^k - 4) / 6 accepted values; the refined
+/// neighbour is the first accepted 32-bit multiply-shift among words 1–3
+/// of refinement block 0, then words 0–3 of blocks 1, 2, ...  Only a
+/// moving slot reads its direction.
+///
+/// Counter domains (the top bits of counter word c1, so slots must stay
+/// below 2^48): slot blocks have bit 31 clear, refinement block k is
+/// (slot, 2^31 | k << 16), and the update-loss draw is word 0 of
+/// (slot, 2^30).  The domains never overlap, so adding a refinement or a
+/// loss draw never shifts any other draw.
+class SlotDraws {
+ public:
+  /// Salt ("pcn-simd") separating the simulator's key from every other
+  /// stream derived from the network seed.
+  static constexpr std::uint64_t kKeySalt = 0x70636e2d73696d64ULL;
+  static constexpr std::uint32_t kRefineDomain = 0x80000000u;
+  static constexpr std::uint32_t kLossDomain = 0x40000000u;
+
+  /// One slot's decisions.  `neighbor` indexes cell_neighbors order and
+  /// is meaningful only when `moved`.
+  struct Slot {
+    bool called = false;
+    bool moved = false;
+    int neighbor = 0;
+  };
+
+  explicit SlotDraws(std::uint64_t seed)
+      : rng_(CounterRng::keyed(seed, kKeySalt)) {}
+
+  std::uint32_t key_lo() const { return rng_.key_lo(); }
+  std::uint32_t key_hi() const { return rng_.key_hi(); }
+
+  /// The slot block serving `slot`: counter slot >> 2 (chain) or slot.
+  PhiloxWords slot_block(std::uint64_t terminal, std::int64_t slot,
+                         bool chain) const {
+    const auto t = static_cast<std::uint64_t>(slot);
+    return rng_.block(terminal, chain ? t >> 2 : t);
+  }
+
+  /// Refinement block k of `slot`.
+  PhiloxWords refine_block(std::uint64_t terminal, std::int64_t slot,
+                           std::uint32_t k) const {
+    return rng_.block(terminal, static_cast<std::uint64_t>(slot) |
+                                    std::uint64_t{kRefineDomain | k << 16}
+                                        << 32);
+  }
+
+  /// The low 16 bits of a chain slot's tied event draw.
+  std::uint32_t refine16(std::uint64_t terminal, std::int64_t slot) const {
+    return refine_block(terminal, slot, 0)[0] & 0xFFFFu;
+  }
+
+  /// Lemire's multiply-shift of a 16-bit (chain) or 32-bit (independent)
+  /// direction draw onto the 6 hex neighbours, or -1 when the draw is one
+  /// of the 4 that go to refinement.
+  static int direction16(std::uint32_t d16) {
+    const std::uint32_t m = d16 * 6u;
+    return (m & 0xFFFFu) < 4u ? -1 : static_cast<int>(m >> 16);
+  }
+  static int direction32(std::uint32_t d32) {
+    const std::uint64_t m = std::uint64_t{d32} * 6u;
+    return static_cast<std::uint32_t>(m) < 4u ? -1
+                                              : static_cast<int>(m >> 32);
+  }
+
+  /// The neighbour a direction draw selects: bit 0 in 1-D, Lemire's
+  /// multiply-shift in 2-D (-1: the draw goes to refinement).
+  static int neighbor_of(std::uint32_t dir_draw, bool chain, bool two_d) {
+    if (!two_d) return static_cast<int>(dir_draw & 1u);
+    return chain ? direction16(dir_draw) : direction32(dir_draw);
+  }
+
+  /// The refined hex neighbour of `slot`.
+  int refined_direction(std::uint64_t terminal, std::int64_t slot) const {
+    for (std::uint32_t k = 0;; ++k) {
+      const PhiloxWords w = refine_block(terminal, slot, k);
+      for (std::size_t i = k == 0 ? 1 : 0; i < w.size(); ++i) {
+        const int dir = direction32(w[i]);
+        if (dir >= 0) return dir;
+      }
+    }
+  }
+
+  /// Chain-faithful call/move decision from the slot's event halfword.
+  Slot chain_events(std::uint64_t terminal, std::int64_t slot,
+                    std::uint32_t e16, std::uint32_t t_call,
+                    std::uint32_t t_move) const {
+    Slot out;
+    if (e16 == t_call >> 16 || e16 == t_move >> 16) {
+      const std::uint32_t x = (e16 << 16) | refine16(terminal, slot);
+      out.called = event_below(x, t_call);
+      out.moved = !out.called && event_below(x, t_move);
+    } else {
+      out.called = e16 < t_call >> 16;
+      out.moved = !out.called && e16 < t_move >> 16;
+    }
+    return out;
+  }
+
+  /// Every decision of one (terminal, slot) — the scalar form of the
+  /// contract the reference engine runs.
+  Slot draw(std::uint64_t terminal, std::int64_t slot, bool chain,
+            bool two_d, std::uint32_t t_call, std::uint32_t t_move) const {
+    const PhiloxWords w = slot_block(terminal, slot, chain);
+    Slot out;
+    std::uint32_t dir_draw;
+    if (chain) {
+      const auto word = static_cast<std::size_t>((slot >> 1) & 1);
+      const auto shift = static_cast<unsigned>((slot & 1) * 16);
+      out = chain_events(terminal, slot, (w[word] >> shift) & 0xFFFFu,
+                         t_call, t_move);
+      dir_draw = (w[2 + word] >> shift) & 0xFFFFu;
+    } else {
+      out.moved = event_below(w[0], t_move);
+      out.called = event_below(w[1], t_call);
+      dir_draw = w[2];
+    }
+    if (out.moved) {
+      out.neighbor = neighbor_of(dir_draw, chain, two_d);
+      if (out.neighbor < 0) out.neighbor = refined_direction(terminal, slot);
+    }
+    return out;
+  }
+
+  /// Whether the location update `terminal` sends in `slot` is lost, for
+  /// t_loss = threshold32(loss probability).
+  bool update_lost(std::uint64_t terminal, std::int64_t slot,
+                   std::uint32_t t_loss) const {
+    const auto counter = static_cast<std::uint64_t>(slot) |
+                         std::uint64_t{kLossDomain} << 32;
+    return event_below(rng_.block(terminal, counter)[0], t_loss);
+  }
+
+ private:
+  CounterRng rng_;
 };
 
 }  // namespace pcn::stats

@@ -34,7 +34,7 @@ double ScriptedMobility::move_probability(sim::SimTime now) const {
 
 geometry::Cell ScriptedMobility::move_target(geometry::Cell from,
                                              sim::SimTime now,
-                                             stats::Rng&) const {
+                                             int) const {
   const geometry::Cell target = position_at(now);
   PCN_EXPECT(geometry::cell_distance(dim_, from, target) <= 1,
              "ScriptedMobility: replay desynchronized from the simulation "

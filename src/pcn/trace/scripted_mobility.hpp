@@ -32,7 +32,7 @@ class ScriptedMobility final : public sim::MobilityModel {
 
   double move_probability(sim::SimTime now) const override;
   geometry::Cell move_target(geometry::Cell from, sim::SimTime now,
-                             stats::Rng& rng) const override;
+                             int neighbor) const override;
   std::string name() const override;
 
   sim::SimTime script_length() const {

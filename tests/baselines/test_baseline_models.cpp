@@ -169,19 +169,37 @@ TEST_P(TimeModelVsSimulation, PredictsTheSimulatedCosts) {
   const BaselineCosts predicted =
       time_based_costs(dim, profile, kWeights, period);
 
-  sim::Network network(
-      sim::NetworkConfig{dim, sim::SlotSemantics::kChainFaithful, 0xdef},
-      kWeights);
-  const sim::TerminalId id = network.add_terminal(
-      sim::make_time_terminal(dim, profile, period));
+  // A 16-terminal fleet: at one terminal's 400000 slots the sampling
+  // noise alone (about 2% of the 2-D paging cost at T = 40) leaves one
+  // seed in eight outside the band, on top of the model's 3.5% 2-D ring
+  // approximation; sixteen replicas shrink the noise fourfold.
+  sim::NetworkConfig config{dim, sim::SlotSemantics::kChainFaithful, 0xdef};
+  config.threads = 4;
+  sim::Network network(config, kWeights);
+  for (int i = 0; i < 16; ++i) {
+    network.add_terminal(sim::make_time_terminal(dim, profile, period));
+  }
   network.run(400000);
-  const sim::TerminalMetrics& m = network.metrics(id);
+  double slots = 0.0;
+  double update_cost = 0.0;
+  double paging_cost = 0.0;
+  double delay_sum = 0.0;
+  double delay_count = 0.0;
+  for (sim::TerminalId id = 0; id < 16; ++id) {
+    const sim::TerminalMetrics& m = network.metrics(id);
+    slots += static_cast<double>(m.slots);
+    update_cost += m.update_cost;
+    paging_cost += m.paging_cost;
+    delay_sum += m.paging_cycles.mean() *
+                 static_cast<double>(m.paging_cycles.total());
+    delay_count += static_cast<double>(m.paging_cycles.total());
+  }
 
-  EXPECT_NEAR(m.update_cost_per_slot(), predicted.update,
+  EXPECT_NEAR(update_cost / slots, predicted.update,
               0.05 * predicted.update + 1e-3);
-  EXPECT_NEAR(m.paging_cost_per_slot(), predicted.paging,
+  EXPECT_NEAR(paging_cost / slots, predicted.paging,
               0.05 * predicted.paging + 2e-3);
-  EXPECT_NEAR(m.paging_cycles.mean(), predicted.expected_delay_cycles,
+  EXPECT_NEAR(delay_sum / delay_count, predicted.expected_delay_cycles,
               0.06);
 }
 

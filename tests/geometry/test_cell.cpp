@@ -36,6 +36,24 @@ TEST_P(CellGeometry, NeighborCountMatchesDimension) {
   }
 }
 
+TEST_P(CellGeometry, IndexedNeighborMatchesTheNeighborList) {
+  // cell_neighbor(i) is cell_neighbors()[i] without the allocation; the
+  // simulator's walkers move by the drawn index.
+  const Dimension dim = GetParam();
+  for (const Cell from : {Cell{}, Cell{4, 0}, Cell{-7, 0}}) {
+    const Cell cell = dim == Dimension::kTwoD ? Cell{from.q, 3} : from;
+    const auto neighbors = cell_neighbors(dim, cell);
+    for (int i = 0; i < neighbor_count(dim); ++i) {
+      EXPECT_EQ(cell_neighbor(dim, cell, i),
+                neighbors[static_cast<std::size_t>(i)])
+          << "index " << i;
+    }
+  }
+  EXPECT_THROW(cell_neighbor(dim, Cell{}, -1), InvalidArgument);
+  EXPECT_THROW(cell_neighbor(dim, Cell{}, neighbor_count(dim)),
+               InvalidArgument);
+}
+
 TEST_P(CellGeometry, RingSizesMatchRingMetrics) {
   const Dimension dim = GetParam();
   for (int i = 0; i <= 8; ++i) {

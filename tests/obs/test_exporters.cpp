@@ -1,7 +1,7 @@
 // Exporter goldens: Prometheus text exposition and JSON for a
 // deterministic registry, the JsonWriter primitives, BenchReport's
-// parse-line/JSON protocol, the TraceRing, and the RunReport built from a
-// real (tiny) simulation.  The exact strings here are the stable exchange
+// parse-line/JSON protocol, and the RunReport built from a real (tiny)
+// simulation.  The exact strings here are the stable exchange
 // format downstream tooling parses — change them deliberately.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/metrics.hpp"
 #include "pcn/obs/report.hpp"
-#include "pcn/obs/timer.hpp"
 #include "pcn/sim/network.hpp"
 
 namespace {
@@ -22,7 +21,6 @@ namespace {
 using pcn::obs::BenchReport;
 using pcn::obs::JsonWriter;
 using pcn::obs::MetricsRegistry;
-using pcn::obs::TraceRing;
 
 /// A small fixed registry every golden below is derived from.
 MetricsRegistry& golden_registry() {
@@ -101,6 +99,21 @@ TEST(Exporters, SnapshotJsonGolden) {
             "\"counts\":[2,0,1,1],\"count\":4,\"sum\":14}}}");
 }
 
+TEST(Exporters, SnapshotJsonNestsAsOneValue) {
+  // snapshot_to_json is the renderer every embedding document shares: it
+  // writes exactly to_json's object as the next value of a larger one.
+  const pcn::obs::MetricsSnapshot snapshot = golden_registry().snapshot();
+  JsonWriter json;
+  json.begin_object();
+  json.member("schema", "x");
+  json.key("metrics");
+  pcn::obs::snapshot_to_json(json, snapshot);
+  json.member("after", 1);
+  json.end_object();
+  EXPECT_EQ(json.take(), "{\"schema\":\"x\",\"metrics\":" +
+                             pcn::obs::to_json(snapshot) + ",\"after\":1}");
+}
+
 TEST(JsonWriterTest, EscapingAndScalars) {
   JsonWriter json;
   json.begin_object();
@@ -152,85 +165,6 @@ TEST(BenchReportTest, OutputPathHonoursBenchDir) {
   unsetenv("PCN_BENCH_DIR");
 }
 
-TEST(TraceRingTest, RecordAndRecent) {
-  TraceRing ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  ring.record("alpha", 10, 5, 1);
-  ring.record("beta", 20, 7, 2);
-  const auto spans = ring.recent();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_STREQ(spans[0].name, "alpha");
-  EXPECT_EQ(spans[0].start_ns, 10);
-  EXPECT_EQ(spans[0].duration_ns, 5);
-  EXPECT_EQ(spans[0].shard, 1u);
-  EXPECT_STREQ(spans[1].name, "beta");
-  EXPECT_NE(ring.format().find("beta"), std::string::npos);
-}
-
-TEST(TraceRingTest, WrapKeepsMostRecent) {
-  TraceRing ring(4);
-  for (std::int64_t i = 0; i < 10; ++i) ring.record("span", i, 1, 0);
-  EXPECT_EQ(ring.recorded(), 10u);
-  const auto spans = ring.recent();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest first: the four most recent start times are 6..9.
-  EXPECT_EQ(spans[0].start_ns, 6);
-  EXPECT_EQ(spans[3].start_ns, 9);
-}
-
-TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(TraceRing(3).capacity(), 4u);
-  EXPECT_EQ(TraceRing(5).capacity(), 8u);
-  EXPECT_EQ(TraceRing(256).capacity(), 256u);
-}
-
-TEST(TraceRingTest, WrapAtNonDefaultCapacity) {
-  TraceRing ring(32);
-  ASSERT_EQ(ring.capacity(), 32u);
-  for (std::int64_t i = 0; i < 100; ++i) ring.record("span", i, 1, 0);
-  EXPECT_EQ(ring.recorded(), 100u);
-  const auto spans = ring.recent();
-  ASSERT_EQ(spans.size(), 32u);
-  // Oldest first: the 32 most recent start times are 68..99.
-  EXPECT_EQ(spans[0].start_ns, 68);
-  EXPECT_EQ(spans[31].start_ns, 99);
-}
-
-/// NetworkConfig::trace_ring_capacity sizes the runtime ring; the
-/// PCN_TRACE_RING_CAPACITY environment variable overrides it without a
-/// recompile.  Both paths must wrap correctly at non-default sizes.
-TEST(TraceRingTest, NetworkHonoursConfiguredCapacity) {
-  unsetenv("PCN_TRACE_RING_CAPACITY");
-  pcn::sim::NetworkConfig config{pcn::Dimension::kOneD,
-                                 pcn::sim::SlotSemantics::kChainFaithful, 7};
-  config.collect_runtime_stats = true;
-  config.trace_ring_capacity = 32;
-  pcn::sim::Network network(config, pcn::CostWeights{100.0, 10.0});
-  network.add_terminal(pcn::sim::make_distance_terminal(
-      pcn::Dimension::kOneD, pcn::MobilityProfile{0.1, 0.05}, 3,
-      pcn::DelayBound(2)));
-  network.run(50000);
-  ASSERT_NE(network.trace(), nullptr);
-  EXPECT_EQ(network.trace()->capacity(), 32u);
-  // Page spans are 1-in-32 sampled, so 50000 slots at call_prob 0.05
-  // still record ~78 of them: the ring must have wrapped, keeping only
-  // the newest 32 spans.
-  EXPECT_GT(network.trace()->recorded(), 32u);
-  EXPECT_EQ(network.trace()->recent().size(), 32u);
-}
-
-TEST(TraceRingTest, NetworkHonoursCapacityEnvOverride) {
-  setenv("PCN_TRACE_RING_CAPACITY", "64", 1);
-  pcn::sim::NetworkConfig config{pcn::Dimension::kOneD,
-                                 pcn::sim::SlotSemantics::kChainFaithful, 7};
-  config.collect_runtime_stats = true;
-  config.trace_ring_capacity = 32;  // env wins over the config value
-  pcn::sim::Network network(config, pcn::CostWeights{100.0, 10.0});
-  unsetenv("PCN_TRACE_RING_CAPACITY");
-  ASSERT_NE(network.trace(), nullptr);
-  EXPECT_EQ(network.trace()->capacity(), 64u);
-}
-
 TEST(RunReportTest, JsonShapeFromRealRun) {
   pcn::sim::NetworkConfig config{pcn::Dimension::kOneD,
                                  pcn::sim::SlotSemantics::kChainFaithful, 7};
@@ -268,6 +202,21 @@ TEST(RunReportTest, JsonShapeFromRealRun) {
   EXPECT_NE(json.find("\"p95\":"), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_NE(json.find("\"sla\":{\"bound_cycles\":2,\"violations\":0}"),
+            std::string::npos);
+}
+
+TEST(RunReportTest, MetricsSectionIsTheSnapshotRenderer) {
+  pcn::sim::Network network(
+      pcn::sim::NetworkConfig{pcn::Dimension::kTwoD,
+                              pcn::sim::SlotSemantics::kChainFaithful, 9},
+      pcn::CostWeights{100.0, 10.0});
+  network.add_terminal(pcn::sim::make_distance_terminal(
+      pcn::Dimension::kTwoD, pcn::MobilityProfile{0.2, 0.05}, 2,
+      pcn::DelayBound(2)));
+  network.run(2000);
+  const pcn::obs::RunReport report = pcn::obs::make_run_report(network);
+  EXPECT_NE(to_json(report).find("\"metrics\":" +
+                                 pcn::obs::to_json(report.metrics)),
             std::string::npos);
 }
 

@@ -1,16 +1,16 @@
-// Property suite gating the SIMD engine's *statistical* equivalence
-// contract: over the randomized scenario space, a fleet run under
-// SimEngine::kSimd must land inside the same confidence bands as the
-// reference pair — C_u, C_v, C_T per slot against the CostModel
-// predictions, mean paging delay against the SDF partition, and (where the
-// chain is the exact law: 1-D, chain-faithful) a chi-square GOF of the
-// ring-distance occupancy against p_{i,d}.  The engine draws from
-// counter-based per-(terminal, slot) streams instead of the sequential
-// ones, so a bitwise diff against the reference is meaningless; these
-// oracles are the acceptance test that the fixed-point thresholds
-// (error < 2^-32) and the stream re-keying leave the physics untouched.
-// The same scenarios also pin thread-count determinism: 1-thread and
-// 4-thread simd runs must agree bit-for-bit per terminal.
+// Property suite gating the SIMD engine's *statistical* contract: over
+// the randomized scenario space, a fleet run under SimEngine::kSimd must
+// land inside the confidence bands of the analytical model — C_u, C_v,
+// C_T per slot against the CostModel predictions, mean paging delay
+// against the SDF partition, and (where the chain is the exact law: 1-D,
+// chain-faithful) a chi-square GOF of the ring-distance occupancy against
+// p_{i,d}.  PropSimdVsReference pins the engine to the reference engine
+// bit for bit; this suite is the oracle independent of both engines —
+// the draw contract's maps (16-bit event halfwords refined on a tie, the
+// exact direction map, fixed-point thresholds with error < 2^-32) must
+// leave the physics untouched.  The same scenarios also pin thread-count
+// determinism: 1-thread and 4-thread simd runs must agree bit-for-bit
+// per terminal.
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -108,15 +108,12 @@ TEST(TelemetryIdentity, RegistryPopulatedOnlyWhenEnabled) {
   Network off(make_config(false, 1), kWeights);
   add_mixed_fleet(off);
   off.run(2000);
-  EXPECT_EQ(off.trace(), nullptr);
   EXPECT_EQ(off.metrics_registry().snapshot().counter_value("sim.run.slots"),
             0);
 
   Network on(make_config(true, 4), kWeights);
   add_mixed_fleet(on);
   on.run(2000);
-  ASSERT_NE(on.trace(), nullptr);
-  EXPECT_GT(on.trace()->recorded(), 0u);
   const obs::MetricsSnapshot snapshot = on.metrics_registry().snapshot();
   EXPECT_EQ(snapshot.counter_value("sim.run.slots"), 2000);
   EXPECT_EQ(snapshot.counter_value("sim.terminal.slots"),

@@ -9,12 +9,10 @@ namespace {
 
 using geometry::Cell;
 
-Terminal make_terminal(double call_prob = 0.01,
-                       std::uint64_t seed = 1) {
+Terminal make_terminal(double call_prob = 0.01) {
   return Terminal(7, Cell{3, -1}, call_prob,
                   std::make_unique<RandomWalk>(Dimension::kTwoD, 0.1),
-                  std::make_unique<DistanceUpdatePolicy>(Dimension::kTwoD, 2),
-                  stats::Rng(seed));
+                  std::make_unique<DistanceUpdatePolicy>(Dimension::kTwoD, 2));
 }
 
 TEST(Terminal, ExposesItsIdentityAndState) {
@@ -32,37 +30,16 @@ TEST(Terminal, MoveToChangesThePosition) {
   EXPECT_EQ(terminal.position(), (Cell{4, -1}));
 }
 
-TEST(Terminal, EventAndWalkStreamsAreIndependent) {
-  Terminal terminal = make_terminal();
-  // The two streams are split from the same root but must not be
-  // identical.
-  int same = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (terminal.event_rng().next() == terminal.walk_rng().next()) ++same;
-  }
-  EXPECT_EQ(same, 0);
-}
-
-TEST(Terminal, SameSeedGivesSameStreams) {
-  Terminal a = make_terminal(0.01, 42);
-  Terminal b = make_terminal(0.01, 42);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(a.event_rng().next(), b.event_rng().next());
-    EXPECT_EQ(a.walk_rng().next(), b.walk_rng().next());
-  }
-}
-
 TEST(Terminal, ValidatesItsConstructorArguments) {
   EXPECT_THROW(make_terminal(1.0), InvalidArgument);   // call prob = 1
   EXPECT_THROW(make_terminal(-0.1), InvalidArgument);  // negative
   EXPECT_THROW(
       Terminal(1, Cell{}, 0.01, nullptr,
-               std::make_unique<DistanceUpdatePolicy>(Dimension::kTwoD, 1),
-               stats::Rng(1)),
+               std::make_unique<DistanceUpdatePolicy>(Dimension::kTwoD, 1)),
       InvalidArgument);
   EXPECT_THROW(Terminal(1, Cell{}, 0.01,
                         std::make_unique<RandomWalk>(Dimension::kTwoD, 0.1),
-                        nullptr, stats::Rng(1)),
+                        nullptr),
                InvalidArgument);
 }
 

@@ -1,14 +1,19 @@
 // Counter-based RNG (stats/counter_rng.hpp): known-answer vectors for the
 // Philox4x32-10 bijection, determinism and ordering-freedom of the keyed
-// streams, statistical independence between adjacent streams (the simd
-// engine keys one stream per terminal id), and the fixed-point threshold
-// and key-derivation edge cases.
+// streams, statistical independence between adjacent streams (the
+// simulator keys one stream per terminal id), the fixed-point threshold
+// and key-derivation edge cases, and the slot-draw contract both engines
+// follow: exact neighbour maps, exact event ties, and known answers.
 #include "pcn/stats/counter_rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+
+#include "support/slot_draw_kats.hpp"
 
 namespace pcn::stats {
 namespace {
@@ -173,6 +178,8 @@ TEST(Threshold32, EdgeCasesAndMonotonicity) {
   EXPECT_EQ(threshold32(-1.0), 0u);
   EXPECT_EQ(threshold32(1.0), 0xFFFFFFFFu);
   EXPECT_EQ(threshold32(2.0), 0xFFFFFFFFu);
+  // Only p >= 1 reaches kCertain: every p < 1 stays strictly below it.
+  EXPECT_EQ(threshold32(std::nextafter(1.0, 0.0)), kCertain - 1);
   EXPECT_EQ(threshold32(0.5), 0x80000000u);
   EXPECT_EQ(threshold32(0.25), 0x40000000u);
   // Rounding error below 2^-32 either way.
@@ -195,6 +202,158 @@ TEST(Threshold32, MatchesEmpiricalFrequency) {
   }
   const double sigma = std::sqrt(p * (1 - p) * kDraws);
   EXPECT_NEAR(static_cast<double>(hits), p * kDraws, 4.75 * sigma);
+}
+
+// --- The slot-draw contract -------------------------------------------------
+
+TEST(SlotDraws, EveryHalfwordMapsToOneNeighborOrToRefinement) {
+  // Lemire on 16 bits: 2^16 mod 6 = 4 halfwords go to refinement and each
+  // hex neighbour keeps exactly (2^16 - 4) / 6 = 10922; in 1-D bit 0
+  // splits the halfwords evenly.
+  std::array<int, 6> hex{};
+  std::array<int, 2> line{};
+  int refine = 0;
+  for (std::uint32_t d = 0; d < (1u << 16); ++d) {
+    const int dir = SlotDraws::neighbor_of(d, true, true);
+    if (dir < 0) {
+      ++refine;
+    } else {
+      ASSERT_LT(dir, 6);
+      ++hex[static_cast<std::size_t>(dir)];
+    }
+    ++line[static_cast<std::size_t>(SlotDraws::neighbor_of(d, true, false))];
+  }
+  for (const int count : hex) EXPECT_EQ(count, 10922);
+  EXPECT_EQ(refine, 4);
+  EXPECT_EQ(line[0], 32768);
+  EXPECT_EQ(line[1], 32768);
+  for (const std::uint32_t d : {0u, 10923u, 32768u, 43691u}) {
+    EXPECT_EQ(SlotDraws::direction16(d), -1) << d;
+  }
+}
+
+TEST(SlotDraws, EveryWordMapsToOneNeighborOrToRefinement) {
+  // Lemire on 32 bits: neighbour j owns the words [b_j, b_{j+1}) with
+  // b_j = ceil(j 2^32 / 6), less the 2^32 mod 6 = 4 words whose 6w mod
+  // 2^32 < 4 (each the first word of its range) — (2^32 - 4) / 6 each.
+  const std::array<std::uint32_t, 4> refined = {0u, 715827883u, 0x80000000u,
+                                                2863311531u};
+  for (const std::uint32_t w : refined) {
+    EXPECT_EQ(SlotDraws::direction32(w), -1) << w;
+    EXPECT_GE(SlotDraws::direction32(w + 1), 0) << w;
+  }
+  const auto bound = [](std::uint64_t j) {
+    return ((j << 32) + 5) / 6;  // ceil(j 2^32 / 6)
+  };
+  for (std::uint64_t j = 0; j < 6; ++j) {
+    const std::uint64_t lo = bound(j);
+    const std::uint64_t hi = bound(j + 1);
+    std::uint64_t in_range = 0;
+    for (const std::uint32_t w : refined) in_range += w >= lo && w < hi;
+    EXPECT_EQ(hi - lo - in_range, 715827882u) << "neighbour " << j;
+    const int first = SlotDraws::direction32(static_cast<std::uint32_t>(lo));
+    EXPECT_EQ(first < 0 ? SlotDraws::direction32(
+                              static_cast<std::uint32_t>(lo + 1))
+                        : first,
+              static_cast<int>(j));
+    EXPECT_EQ(SlotDraws::direction32(static_cast<std::uint32_t>(hi - 1)),
+              static_cast<int>(j));
+  }
+  // Everywhere else the map is floor(6w / 2^32).
+  const CounterRng rng = CounterRng::keyed(8, 2);
+  for (std::uint64_t counter = 0; counter < (1u << 16); ++counter) {
+    for (const std::uint32_t w : rng.block(0, counter)) {
+      const int dir = SlotDraws::direction32(w);
+      if (dir >= 0) {
+        EXPECT_EQ(dir, static_cast<int>((std::uint64_t{w} * 6) >> 32));
+      }
+    }
+  }
+}
+
+TEST(SlotDraws, RefinedNeighborsAreUniform) {
+  // Pearson chi-square, 5 dof, critical value at alpha = 1e-3: 20.52.
+  const SlotDraws draws(17);
+  constexpr int kDraws = 60000;
+  std::array<int, 6> counts{};
+  for (int i = 0; i < kDraws; ++i) {
+    const int dir = draws.refined_direction(static_cast<std::uint64_t>(i % 97),
+                                            i / 97 + 1);
+    ASSERT_GE(dir, 0);
+    ASSERT_LT(dir, 6);
+    ++counts[static_cast<std::size_t>(dir)];
+  }
+  double chi2 = 0.0;
+  for (const int count : counts) {
+    const double expected = kDraws / 6.0;
+    chi2 += (count - expected) * (count - expected) / expected;
+  }
+  EXPECT_LT(chi2, 20.52);
+}
+
+TEST(SlotDraws, EventTiesResolveExactlyAtTheThresholdBoundary) {
+  // A halfword equal to a threshold's high half is decided by the full
+  // 32-bit draw (e16 << 16) | refine16: the boundary is exact.
+  const SlotDraws draws(proptest::kKatSeed);
+  constexpr std::uint64_t kTerminal = 4;
+  constexpr std::int64_t kSlot = 77;
+  const std::uint32_t r16 = draws.refine16(kTerminal, kSlot);
+  ASSERT_LT(r16, 0xFFFFu);  // x + 1 keeps the same high half below
+  constexpr std::uint32_t e16 = 0x4321;
+  const std::uint32_t x = (e16 << 16) | r16;
+  // Call threshold at x: the draw x is not below it; at x + 1 it is.
+  EXPECT_FALSE(draws.chain_events(kTerminal, kSlot, e16, x, x).called);
+  EXPECT_TRUE(draws.chain_events(kTerminal, kSlot, e16, x + 1, x + 1).called);
+  // Move threshold at x / x + 1, call threshold below the halfword.
+  const std::uint32_t low = (e16 - 1) << 16;
+  SlotDraws::Slot at = draws.chain_events(kTerminal, kSlot, e16, low, x);
+  EXPECT_FALSE(at.called);
+  EXPECT_FALSE(at.moved);
+  at = draws.chain_events(kTerminal, kSlot, e16, low, x + 1);
+  EXPECT_FALSE(at.called);
+  EXPECT_TRUE(at.moved);
+  // Off a tie the halfword alone decides (no refinement read).
+  EXPECT_TRUE(draws.chain_events(kTerminal, kSlot, e16 - 1, x, x).called);
+  EXPECT_FALSE(draws.chain_events(kTerminal, kSlot, e16 + 1, x, x).called);
+  // q + c = 1 (kCertain): the top halfword ties and still always moves.
+  EXPECT_TRUE(draws.chain_events(kTerminal, kSlot, 0xFFFF, 0, kCertain).moved);
+  EXPECT_TRUE(event_below(0xFFFFFFFFu, kCertain));
+  EXPECT_FALSE(event_below(0xFFFFFFFEu, kCertain - 1));
+}
+
+TEST(SlotDraws, ReferenceStepReproducesTheKnownAnswers) {
+  const SlotDraws draws(proptest::kKatSeed);
+  for (const proptest::SlotDrawKat& kat : proptest::kSlotDrawKats) {
+    SCOPED_TRACE(kat.what);
+    const SlotDraws::Slot slot = draws.draw(
+        kat.terminal, kat.slot, kat.chain, kat.two_d, kat.t_call(),
+        kat.t_move());
+    EXPECT_EQ(slot.called, kat.called);
+    EXPECT_EQ(slot.moved, kat.moved);
+    if (kat.moved) {
+      EXPECT_EQ(slot.neighbor, kat.neighbor);
+    }
+  }
+}
+
+TEST(SlotDraws, UpdateLossDrawsFromItsOwnDomain) {
+  // The loss word is none of the slot or refinement words, and fires at
+  // its probability (binomial bound, z = 4.75).
+  const SlotDraws draws(5);
+  const PhiloxWords loss_block = CounterRng::keyed(5, SlotDraws::kKeySalt)
+                                     .block(9, 100 | std::uint64_t{
+                                                         SlotDraws::kLossDomain}
+                                                         << 32);
+  EXPECT_NE(loss_block, draws.slot_block(9, 100, false));
+  EXPECT_NE(loss_block, draws.refine_block(9, 100, 0));
+  constexpr int kDraws = 1 << 14;
+  const double p = 0.2;
+  int lost = 0;
+  for (std::int64_t slot = 0; slot < kDraws; ++slot) {
+    lost += draws.update_lost(3, slot, threshold32(p)) ? 1 : 0;
+  }
+  const double sigma = std::sqrt(p * (1 - p) * kDraws);
+  EXPECT_NEAR(static_cast<double>(lost), p * kDraws, 4.75 * sigma);
 }
 
 }  // namespace

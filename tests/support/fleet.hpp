@@ -1,10 +1,10 @@
 // Fleet runner for the differential suites: simulates several independent
 // distance-policy terminals with one profile and aggregates their metrics.
-// Terminals are statistically independent replicas (per-terminal split RNG
-// streams), so the aggregate behaves like one run of terminals * slots
-// stationary slots — tighter confidence bands per unit of wall clock — and
-// a multi-terminal fleet genuinely exercises the sharded parallel path of
-// Network::run at thread counts > 1.
+// Terminals are statistically independent replicas (per-terminal
+// counter-based draws), so the aggregate behaves like one run of
+// terminals * slots stationary slots — tighter confidence bands per unit
+// of wall clock — and a multi-terminal fleet genuinely exercises the
+// sharded parallel path of Network::run at thread counts > 1.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,8 @@ struct FleetMetrics {
 /// Runs `terminals` distance-policy replicas of `scenario` for
 /// `slots_per_terminal` slots each and returns the per-terminal metrics
 /// (index = attach order) — callers aggregate or diff them as needed.
-/// `engine` pins the slot-loop implementation (the engine-equivalence
-/// suites force kReference / kSoa; the default auto-selects).
+/// `engine` pins the slot-loop implementation (the engine-identity suites
+/// force kReference / kSimd; the default auto-selects).
 std::vector<sim::TerminalMetrics> run_distance_fleet(
     const Scenario& scenario, sim::SlotSemantics semantics, int threads,
     int terminals, std::int64_t slots_per_terminal,

@@ -27,9 +27,9 @@ TEST(ScriptedMobility, MoveProbabilityFollowsTheScript) {
 TEST(ScriptedMobility, TargetsComeFromTheScript) {
   const ScriptedMobility mobility(Dimension::kTwoD, Cell{},
                                   {Cell{1, 0}, Cell{1, -1}});
-  stats::Rng rng(1);
-  EXPECT_EQ(mobility.move_target(Cell{}, 1, rng), (Cell{1, 0}));
-  EXPECT_EQ(mobility.move_target(Cell{1, 0}, 2, rng), (Cell{1, -1}));
+  // The drawn neighbor index is ignored: the script names the target.
+  EXPECT_EQ(mobility.move_target(Cell{}, 1, 3), (Cell{1, 0}));
+  EXPECT_EQ(mobility.move_target(Cell{1, 0}, 2, 0), (Cell{1, -1}));
 }
 
 TEST(ScriptedMobility, RejectsTeleportingScripts) {
@@ -44,9 +44,8 @@ TEST(ScriptedMobility, RejectsTeleportingScripts) {
 
 TEST(ScriptedMobility, DesynchronizedReplayIsCaught) {
   const ScriptedMobility mobility(Dimension::kTwoD, Cell{}, {Cell{1, 0}});
-  stats::Rng rng(1);
   // Asking for the move from a cell far away from the script.
-  EXPECT_THROW(mobility.move_target(Cell{5, 5}, 1, rng), InvalidArgument);
+  EXPECT_THROW(mobility.move_target(Cell{5, 5}, 1, 0), InvalidArgument);
 }
 
 TEST(ScriptedReplay, ReproducesARecordedTrajectoryExactly) {

@@ -23,13 +23,12 @@
 //   --policy {distance|movement|time|la}  update policy (default distance)
 //   --param N          policy parameter (M, T or R; distance uses the plan)
 //   --threads N        worker threads (0 = hardware concurrency, default 1)
-//   --engine {auto|reference|soa|simd}  slot-loop engine: the
-//                      struct-of-arrays fast path (soa), the polymorphic
-//                      reference loop, the lane-parallel counter-RNG
-//                      engine (simd; statistically — not bit- —
-//                      equivalent, AVX2 with portable fallback), or
-//                      auto-selection (default; soa when eligible, never
-//                      simd)
+//   --engine {auto|reference|simd}  slot-loop engine: the polymorphic
+//                      reference loop, the lane-parallel engine (simd;
+//                      AVX2 with portable fallback; an error when it
+//                      cannot run), or auto-selection (default; simd when
+//                      eligible, else reference).  Both follow one draw
+//                      contract, so every engine prints the same report
 //   --metrics-out F    write a pcn.run_report.v1 JSON RunReport to F
 //                      ("-" = stdout); enables runtime telemetry
 //   --progress         stream chunked progress + slots/sec to stderr
@@ -125,7 +124,7 @@ commands:
 common flags: --dim {1|2} --q F --c F --U F --V F --delay N --max-d N
               --scheme {sdf|optimal|hpf} --optimizer {scan|anneal|near}
 simulate:     --slots N --seed N --policy {distance|movement|time|la} --param N
-              --threads N --engine {auto|reference|soa|simd}
+              --threads N --engine {auto|reference|simd}
               --metrics-out FILE --progress
               --trace-out FILE --trace-format {jsonl|chrome} --trace-sample N
               --series-out FILE --series-every N
@@ -256,12 +255,10 @@ int cmd_simulate(const Args& args) {
   pcn::sim::SimEngine engine = pcn::sim::SimEngine::kAuto;
   if (engine_name == "reference") {
     engine = pcn::sim::SimEngine::kReference;
-  } else if (engine_name == "soa") {
-    engine = pcn::sim::SimEngine::kSoa;
   } else if (engine_name == "simd") {
     // Fail fast with a usage-level diagnostic when the engine cannot run
     // here (e.g. PCN_SIMD_ISA=none, or =avx2 without the hardware);
-    // --engine auto on the same machine just takes another engine.
+    // --engine auto on the same machine runs the reference engine.
     const pcn::sim::SimdSupport support = pcn::sim::simd_support();
     if (!support.available) {
       throw UsageError(std::string("--engine simd is unavailable here: ") +
@@ -269,7 +266,7 @@ int cmd_simulate(const Args& args) {
     }
     engine = pcn::sim::SimEngine::kSimd;
   } else if (engine_name != "auto") {
-    throw UsageError("--engine must be auto, reference, soa or simd");
+    throw UsageError("--engine must be auto, reference or simd");
   }
   const std::string metrics_out = args.get_string_or("metrics-out", "");
   const bool progress = args.get_switch("progress");

@@ -16,22 +16,23 @@
 #      over alternating same-work block pairs, in process CPU time) must
 #      hold every timing claim: simulator telemetry and flight recorder
 #      <= 3%, pcnd live stats + bound AdminServer and timeseries capture
-#      <= 2%, simd_speedup >= 1.01 and soa_speedup_4t >= 1.71; it runs
-#      once and exits nonzero when a median breaks its bound,
+#      <= 2%, and auto_speedup_4t >= 1.73 (the lane engine kAuto picks
+#      against the reference engine on the canonical fleet, 4 threads);
+#      it runs once and exits nonzero when a median breaks its bound,
 #   5. trace SLA gate  — a canned delay-bounded scenario is simulated with
 #      --trace-out and `pcnctl trace-summary` must find zero calls paged in
 #      more than m cycles (it exits 1 on any violation); when python3 is
 #      available, a fresh BENCH_table1_one_dim.json is also diffed against
 #      the blessed baseline with tools/bench_compare.py,
-#   6. engine equivalence gate — the same canned scenario simulated under
-#      --engine reference and --engine soa must print byte-identical
-#      reports (the struct-of-arrays fast path contracts bit-identical
-#      metrics; any drift fails the diff),
-#   7. SIMD gate — the SIMD-vs-reference statistical-equivalence suite
-#      (tier-2 oracles), the perf_micro per-slot-cost bench in smoke mode,
-#      and the pcnctl --engine simd CLI path (positive when the hardware
-#      supports a kernel, and the forced-unsupported error path under
-#      PCN_SIMD_ISA=none),
+#   6. engine identity gate — the same canned scenario simulated under
+#      --engine reference and --engine simd, at 1 and 2 threads, must
+#      print byte-identical reports (both engines follow one draw
+#      contract; any drift fails the diff),
+#   7. SIMD gate — the SIMD-vs-reference bit-identity property suite
+#      (tier 2), the perf_micro per-slot-cost bench in smoke mode, and the
+#      pcnctl engine paths with every kernel disabled (PCN_SIMD_ISA=none):
+#      --engine auto must fall back to the reference engine's report,
+#      forced --engine simd must error,
 #   8. portable-fallback build — the AVX2 kernel configured OFF
 #      (-DPCN_SIMD_AVX2=OFF) must compile and pass tier-1, proving the
 #      scalar-emulation kernel carries the engine on non-AVX2 hardware,
@@ -124,28 +125,35 @@ else
   echo "bench_compare: skipped (python3 not found)"
 fi
 
-echo "== [6/12] engine equivalence gate (reference vs soa, exact diff) =="
+echo "== [6/12] engine identity gate (reference vs simd, exact diff) =="
 engine_dir=$(mktemp -d)
-for engine in reference soa; do
-  ./build/tools/pcnctl simulate --dim 2 --policy distance --delay 3 \
-    --slots 200000 --seed 11 --threads 2 --engine "$engine" \
-    > "$engine_dir/$engine.txt"
+for threads in 1 2; do
+  for engine in reference simd; do
+    ./build/tools/pcnctl simulate --dim 2 --policy distance --delay 3 \
+      --slots 200000 --seed 11 --threads "$threads" --engine "$engine" \
+      > "$engine_dir/$engine.t$threads.txt"
+  done
+  if diff "$engine_dir/reference.t$threads.txt" \
+      "$engine_dir/simd.t$threads.txt"; then
+    echo "engine gate ok: reports byte-identical at $threads thread(s)"
+  else
+    echo "engine gate FAILED: reference and simd reports differ" \
+      "at $threads thread(s)"
+    rm -rf "$engine_dir"
+    exit 1
+  fi
 done
-if diff "$engine_dir/reference.txt" "$engine_dir/soa.txt"; then
-  echo "engine gate ok: reports byte-identical"
-else
-  echo "engine gate FAILED: reference and soa reports differ"
-  rm -rf "$engine_dir"
-  exit 1
-fi
 rm -rf "$engine_dir"
 
-echo "== [7/12] SIMD gate: statistical equivalence + perf_micro smoke =="
+echo "== [7/12] SIMD gate: bit-identity suite + perf_micro smoke =="
 cmake --build --preset default -j "$jobs" \
-  --target test_prop_simd_statistical test_counter_rng perf_micro pcnctl
-# The tier-2 oracle suite compares SIMD metrics against the bit-exact
-# engines at 1 and 4 threads (CI bands + occupancy GOF).
-ctest --preset tier2 -R 'PropSimdStatistical' --output-on-failure \
+  --target test_prop_simd_vs_reference test_prop_simd_statistical \
+  test_counter_rng perf_micro pcnctl
+# The tier-2 identity suite diffs SIMD metrics against the reference
+# engine, bit for bit, at 1 and 4 threads over random scenarios; the
+# statistical suite checks the SIMD engine against the cost model.
+ctest --preset tier2 -R 'PropSimd(VsReference|Statistical)' \
+  --output-on-failure \
   -j "$jobs"
 # Per-slot-cost microbench in smoke mode: tiny fleet, but the serialized
 # TSC section and the PCN_BENCH line must still be produced.
@@ -156,11 +164,23 @@ micro_line=$(PCN_BENCH_DIR="$micro_dir" \
 rm -rf "$micro_dir"
 echo "$micro_line"
 # CLI wiring: --engine simd always has a kernel (the portable fallback),
-# so the forced run must succeed; with every kernel disabled via
-# PCN_SIMD_ISA=none it must fail with a UsageError instead.
+# so the forced run must succeed.  With every kernel disabled via
+# PCN_SIMD_ISA=none, --engine auto must fall back to the reference engine
+# (same report) and forced --engine simd must fail with a UsageError.
+simd_dir=$(mktemp -d)
 ./build/tools/pcnctl simulate --dim 2 --policy distance --delay 3 \
-  --slots 20000 --seed 7 --engine simd > /dev/null
+  --slots 20000 --seed 7 --engine simd > "$simd_dir/simd.txt"
 echo "simd CLI gate ok: --engine simd ran"
+PCN_SIMD_ISA=none ./build/tools/pcnctl simulate --dim 2 \
+  --policy distance --delay 3 --slots 20000 --seed 7 --engine auto \
+  > "$simd_dir/auto_none.txt"
+if ! cmp -s "$simd_dir/simd.txt" "$simd_dir/auto_none.txt"; then
+  echo "simd CLI gate FAILED: auto without kernels differs from simd"
+  rm -rf "$simd_dir"
+  exit 1
+fi
+rm -rf "$simd_dir"
+echo "simd CLI gate ok: auto without kernels falls back, same report"
 if PCN_SIMD_ISA=none ./build/tools/pcnctl simulate --dim 2 \
     --policy distance --delay 3 --slots 20000 --seed 7 --engine simd \
     > /dev/null 2>&1; then
