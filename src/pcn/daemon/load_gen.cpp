@@ -1,24 +1,71 @@
 #include "pcn/daemon/load_gen.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "pcn/common/error.hpp"
 #include "pcn/geometry/hex.hpp"
+#include "pcn/sim/simd_engine.hpp"
 
 namespace pcn::daemon {
 
+namespace load_gen_detail {
+
+std::size_t walk_portable(const WalkParams& p, const WalkLanes& s,
+                          std::int64_t slot, std::size_t begin,
+                          std::size_t end, std::uint32_t* events) {
+  const auto wrap = [&p](std::int32_t x) {
+    return x < 0 ? x + p.region : x >= p.region ? x - p.region : x;
+  };
+  std::size_t n = 0;
+  end = std::min(end, s.count);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint64_t t = s.first + i * s.stride;
+    const stats::PhiloxWords draw =
+        p.rng.block(t, static_cast<std::uint64_t>(slot));
+    std::int32_t dq = 0;
+    std::int32_t dr = 0;
+    if (draw[0] < p.t_move) {
+      if (p.two_d) {
+        dq = p.dir_q[draw[1] % 6];
+        dr = p.dir_r[draw[1] % 6];
+      } else {
+        dq = (draw[1] & 1u) != 0 ? 1 : -1;
+      }
+    }
+    s.pos_q[i] = wrap(s.pos_q[i] + dq);
+    s.pos_r[i] = wrap(s.pos_r[i] + dr);
+    const std::int32_t oq = s.off_q[i] + dq;
+    const std::int32_t orr = s.off_r[i] + dr;
+    const std::int32_t dist =
+        p.two_d ? std::max({std::abs(oq), std::abs(orr), std::abs(oq + orr)})
+                : std::abs(oq);
+    const bool update = dist >= p.threshold;
+    s.off_q[i] = update ? 0 : oq;
+    s.off_r[i] = update ? 0 : orr;
+    const bool call = s.in_flight[i] != kInFlight && draw[2] < p.t_call;
+    if (update || call) {
+      events[n++] = static_cast<std::uint32_t>(i - begin) << 2 |
+                    (update ? kEmitUpdate : 0u) | (call ? kEmitPage : 0u);
+    }
+  }
+  return n;
+}
+
+}  // namespace load_gen_detail
+
 namespace {
 
-std::int64_t mod_floor(std::int64_t value, std::int64_t modulus) {
-  const std::int64_t m = value % modulus;
-  return m < 0 ? m + modulus : m;
-}
+using load_gen_detail::kEmitPage;
+using load_gen_detail::kEmitUpdate;
+
+/// Terminals per walk call: the event words of one chunk fit in L1.
+constexpr std::size_t kWalkChunk = 512;
 
 }  // namespace
 
 ClosedLoopWorkload::ClosedLoopWorkload(const ClosedLoopConfig& config)
-    : config_(config),
-      rng_(stats::CounterRng::keyed(config.seed, /*salt=*/0x70636e64u)),
-      move_threshold_(stats::threshold32(config.move_prob)),
-      call_threshold_(stats::threshold32(config.call_prob)) {
+    : config_(config) {
   PCN_EXPECT(config_.terminals >= 1,
              "ClosedLoopWorkload: terminals must be >= 1");
   PCN_EXPECT(config_.region >= 1, "ClosedLoopWorkload: region must be >= 1");
@@ -28,39 +75,97 @@ ClosedLoopWorkload::ClosedLoopWorkload(const ClosedLoopConfig& config)
              "ClosedLoopWorkload: call_prob must be in [0, 1]");
   PCN_EXPECT(config_.threshold >= 1,
              "ClosedLoopWorkload: threshold must be >= 1");
+  load_gen_detail::WalkParams& p = walk_params_;
+  p.rng = stats::CounterRng::keyed(config.seed, /*salt=*/0x70636e64u);
+  p.t_move = stats::threshold32(config.move_prob);
+  p.t_call = stats::threshold32(config.call_prob);
+  p.threshold = config.threshold;
+  p.region = config.region;
+  p.two_d = config.dimension == Dimension::kTwoD;
+  p.wide_ids = config.terminals > (std::uint64_t{1} << 32);
+  const auto& dirs = geometry::hex_directions();
+  for (std::size_t k = 0; k < dirs.size(); ++k) {
+    p.dir_q[k] = static_cast<std::int32_t>(dirs[k].q);
+    p.dir_r[k] = static_cast<std::int32_t>(dirs[k].r);
+  }
+
+  walk_ = &load_gen_detail::walk_portable;
+  walk_name_ = sim::to_string(sim::SimdIsa::kPortable);
+#if PCN_HAVE_AVX2_KERNEL
+  const sim::SimdSupport support = sim::simd_support();
+  if (support.available && support.isa == sim::SimdIsa::kAvx2) {
+    walk_ = &load_gen_detail::walk_avx2;
+    walk_name_ = sim::to_string(sim::SimdIsa::kAvx2);
+  }
+#endif
 }
 
 void ClosedLoopWorkload::lay_out(int shard_count) {
   shard_count_ = shard_count;
   const auto stride = static_cast<std::uint64_t>(shard_count);
-  const auto region = static_cast<std::int64_t>(config_.region);
+  const auto region = static_cast<std::uint64_t>(config_.region);
   shards_.resize(static_cast<std::size_t>(shard_count));
   for (std::uint64_t s = 0; s < stride; ++s) {
     Shard& shard = shards_[s];
-    const std::uint64_t count =
-        s < config_.terminals ? (config_.terminals - s + stride - 1) / stride
-                              : 0;
-    shard.states.resize(count);
-    shard.in_flight.assign(count, kIdle);
+    shard.count = s < config_.terminals
+                      ? (config_.terminals - s + stride - 1) / stride
+                      : 0;
+    const std::size_t lanes = load_gen_detail::padded_lanes(shard.count);
+    shard.pos_q.assign(lanes, 0);
+    shard.pos_r.assign(lanes, 0);
+    shard.off_q.assign(lanes, 0);
+    shard.off_r.assign(lanes, 0);
+    shard.in_flight.assign(lanes, kIdle);
+    shard.sequence.assign(shard.count, 0);
+    shard.page_ordinal.assign(shard.count, 0);
     // Deterministic initial scatter across the torus.
-    for (std::uint64_t i = 0; i < count; ++i) {
-      TerminalState& state = shard.states[i];
-      const auto id = static_cast<std::int64_t>(s + i * stride);
-      state.position.q = id % region;
-      state.position.r = config_.dimension == Dimension::kOneD
-                             ? 0
-                             : (id / region) % region;
-      state.reported = state.position;
+    for (std::size_t i = 0; i < shard.count; ++i) {
+      const std::uint64_t id = s + i * stride;
+      shard.pos_q[i] = static_cast<std::int32_t>(id % region);
+      if (walk_params_.two_d) {
+        shard.pos_r[i] = static_cast<std::int32_t>(id / region % region);
+      }
     }
   }
 }
 
-geometry::Cell ClosedLoopWorkload::wrapped(geometry::Cell cell) const {
-  const auto region = static_cast<std::int64_t>(config_.region);
-  geometry::Cell out;
-  out.q = mod_floor(cell.q, region);
-  out.r = config_.dimension == Dimension::kOneD ? 0 : mod_floor(cell.r, region);
-  return out;
+void ClosedLoopWorkload::emit(Shard& shard, std::size_t i,
+                              std::uint64_t terminal, std::uint32_t kinds,
+                              RequestSink& sink) {
+  if ((kinds & kEmitUpdate) != 0) {
+    proto::LocationUpdate update;
+    update.terminal_id = terminal;
+    update.sequence = ++shard.sequence[i];
+    update.cell = {shard.pos_q[i], shard.pos_r[i]};
+    update.containment_radius = static_cast<std::uint32_t>(config_.threshold);
+    sink.update(update);
+    ++shard.updates_sent;
+  }
+  if ((kinds & kEmitPage) != 0) {
+    std::uint8_t& flight = shard.in_flight[i];
+    if (flight != kIdle) ++shard.settled[flight - kSettled];
+    flight = kInFlight;
+    const std::uint64_t page_id =
+        ++shard.page_ordinal[i] * config_.terminals + terminal + 1;
+    sink.page(page_id, terminal);
+    ++shard.pages_submitted;
+  }
+}
+
+void ClosedLoopWorkload::register_shard(Shard& shard, std::uint64_t first,
+                                        std::int64_t slot,
+                                        RequestSink& sink) {
+  // Registration slot: nobody moves, everybody reports its position, and
+  // calls arrive as in any other slot.
+  const auto stride = static_cast<std::uint64_t>(shard_count_);
+  for (std::size_t i = 0; i < shard.count; ++i) {
+    const std::uint64_t t = first + i * stride;
+    const bool call =
+        walk_params_.rng.block(t, static_cast<std::uint64_t>(slot))[2] <
+        walk_params_.t_call;
+    emit(shard, i, t, kEmitUpdate | (call ? kEmitPage : 0u), sink);
+  }
+  shard.registered = true;
 }
 
 void ClosedLoopWorkload::generate(int shard, int shard_count,
@@ -70,60 +175,28 @@ void ClosedLoopWorkload::generate(int shard, int shard_count,
              "ClosedLoopWorkload: shard_count must not change between "
              "generate calls");
   Shard& local = shards_[static_cast<std::size_t>(shard)];
-  const auto n = config_.terminals;
-  const bool one_d = config_.dimension == Dimension::kOneD;
-  std::int64_t updates = 0;
-  std::int64_t pages = 0;
-  auto t = static_cast<std::uint64_t>(shard);
-  for (std::size_t i = 0; i < local.states.size();
-       ++i, t += static_cast<std::uint64_t>(shard_count)) {
-    TerminalState& state = local.states[i];
-    const stats::PhiloxWords draw =
-        rng_.block(t, static_cast<std::uint64_t>(slot));
-
-    bool moved = false;
-    if (state.registered && draw[0] < move_threshold_) {
-      if (one_d) {
-        state.position.q += (draw[1] & 1u) != 0 ? 1 : -1;
-      } else {
-        state.position = geometry::hex_add(
-            state.position, geometry::hex_directions()[draw[1] % 6]);
-      }
-      moved = true;
-    }
-
-    // A terminal that did not move kept its distance from the reported
-    // position, which was already below d.
-    const bool must_update =
-        !state.registered ||
-        (moved && geometry::cell_distance(config_.dimension, state.position,
-                                          state.reported) >=
-                      static_cast<std::int64_t>(config_.threshold));
-    if (must_update) {
-      proto::LocationUpdate update;
-      update.terminal_id = t;
-      update.sequence = ++state.sequence;
-      update.cell = wrapped(state.position);
-      update.containment_radius =
-          static_cast<std::uint32_t>(config_.threshold);
-      sink.update(update);
-      state.reported = state.position;
-      state.registered = true;
-      ++updates;
-    }
-
-    std::uint8_t& flight = local.in_flight[i];
-    if (flight != kInFlight && draw[2] < call_threshold_) {
-      if (flight != kIdle) ++local.settled[flight - kSettled];
-      flight = kInFlight;
-      ++state.page_ordinal;
-      const std::uint64_t page_id = state.page_ordinal * n + t + 1;
-      sink.page(page_id, t);
-      ++pages;
+  const auto first = static_cast<std::uint64_t>(shard);
+  if (!local.registered) {
+    register_shard(local, first, slot, sink);
+    return;
+  }
+  const auto stride = static_cast<std::uint64_t>(shard_count);
+  const load_gen_detail::WalkLanes lanes{
+      local.pos_q.data(), local.pos_r.data(),     local.off_q.data(),
+      local.off_r.data(), local.in_flight.data(), local.count,
+      first,              stride};
+  const std::size_t padded = local.pos_q.size();
+  std::array<std::uint32_t, kWalkChunk> events;
+  for (std::size_t begin = 0; begin < local.count; begin += kWalkChunk) {
+    const std::size_t end = std::min(begin + kWalkChunk, padded);
+    const std::size_t emitted =
+        walk_(walk_params_, lanes, slot, begin, end, events.data());
+    for (std::size_t k = 0; k < emitted; ++k) {
+      const std::size_t i = begin + (events[k] >> 2);
+      emit(local, i, first + i * stride, events[k] & (kEmitUpdate | kEmitPage),
+           sink);
     }
   }
-  local.updates_sent += updates;
-  local.pages_submitted += pages;
 }
 
 void ClosedLoopWorkload::on_outcome(std::uint64_t terminal_id,
@@ -160,8 +233,8 @@ std::int64_t ClosedLoopWorkload::outcome_count(
   std::int64_t count = 0;
   for (const Shard& shard : shards_) {
     count += shard.settled[kind_index];
-    for (const std::uint8_t flight : shard.in_flight) {
-      count += flight == parked ? 1 : 0;
+    for (std::size_t i = 0; i < shard.count; ++i) {
+      count += shard.in_flight[i] == parked ? 1 : 0;
     }
   }
   return count;
@@ -170,8 +243,8 @@ std::int64_t ClosedLoopWorkload::outcome_count(
 std::int64_t ClosedLoopWorkload::outstanding_count() const {
   std::int64_t count = 0;
   for (const Shard& shard : shards_) {
-    for (const std::uint8_t flight : shard.in_flight) {
-      count += flight == kInFlight ? 1 : 0;
+    for (std::size_t i = 0; i < shard.count; ++i) {
+      count += shard.in_flight[i] == kInFlight ? 1 : 0;
     }
   }
   return count;

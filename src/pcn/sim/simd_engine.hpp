@@ -55,7 +55,10 @@ struct SimdSupport {
 /// PCN_SIMD_ISA environment variable overrides the choice — "avx2"
 /// (require it), "portable" (force the fallback), "none" (disable every
 /// kernel; makes the unsupported-hardware error path testable anywhere),
-/// "auto"/unset/unknown (detect).
+/// "auto"/unset/unknown (detect).  The same probe picks the walk of
+/// pcnd's closed-loop load generator (daemon/load_gen.hpp): the AVX2
+/// walk only when this reports an available AVX2 kernel, else the
+/// portable walk, with identical requests either way.
 SimdSupport simd_support();
 
 class SimdEngine {

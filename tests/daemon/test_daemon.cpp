@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -426,9 +427,62 @@ TEST(Pcnd, BitIdenticalResultsAcrossThreadCounts) {
   EXPECT_NE(one.find("daemon.page.served"), std::string::npos);
 }
 
-/// Every field of every PageOutcomeEvent a 2x-overloaded closed loop
-/// settles, in drain_outcomes() order.
-std::string outcome_stream(AdmissionPolicy policy, int threads) {
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Sets PCN_SIMD_ISA, which picks the closed-loop generator's walk when a
+/// workload is constructed, and restores the previous value on exit.
+class ScopedWalk {
+ public:
+  explicit ScopedWalk(const char* isa) {
+    const char* previous = std::getenv("PCN_SIMD_ISA");
+    had_previous_ = previous != nullptr;
+    if (had_previous_) previous_ = previous;
+    setenv("PCN_SIMD_ISA", isa, 1);
+  }
+  ~ScopedWalk() {
+    if (had_previous_) {
+      setenv("PCN_SIMD_ISA", previous_.c_str(), 1);
+    } else {
+      unsetenv("PCN_SIMD_ISA");
+    }
+  }
+  ScopedWalk(const ScopedWalk&) = delete;
+  ScopedWalk& operator=(const ScopedWalk&) = delete;
+
+ private:
+  bool had_previous_ = false;
+  std::string previous_;
+};
+
+/// The walks a generator can run: "auto" takes the AVX2 walk where the
+/// build and the CPU have one, "portable" forces the scalar walk.
+constexpr const char* kWalks[] = {"auto", "portable"};
+
+/// The 2x-overloaded closed loop the outcome-stream tests run.
+ClosedLoopConfig overload_load() {
+  ClosedLoopConfig config;
+  config.seed = 7;
+  config.terminals = 720;
+  config.region = 6;      // 36 cells, 36 pages/slot capacity
+  config.call_prob = 0.1;  // 72 pages/slot offered
+  config.threshold = 2;
+  return config;
+}
+
+/// Every field of every PageOutcomeEvent a closed loop settles, in
+/// drain_outcomes() order, slot by slot, each slot closed by a hash of
+/// every terminal's stored center, sequence and radius: a request the
+/// generator emits differently moves the stream in the slot it happens.
+std::string outcome_stream(const ClosedLoopConfig& load,
+                           AdmissionPolicy policy, int threads,
+                           const char* walk) {
   PcndConfig config;
   config.threads = threads;
   config.collect_outcomes = true;
@@ -439,18 +493,16 @@ std::string outcome_stream(AdmissionPolicy policy, int threads) {
   config.sla_delay_slots = 4;
   Pcnd daemon(config);
 
-  ClosedLoopConfig workload_config;
-  workload_config.seed = 7;
-  workload_config.terminals = 720;
-  workload_config.region = 6;      // 36 cells, 36 pages/slot capacity
-  workload_config.call_prob = 0.1;  // 72 pages/slot offered
-  workload_config.threshold = 2;
-  ClosedLoopWorkload workload(workload_config);
+  const ScopedWalk scoped(walk);
+  ClosedLoopWorkload workload(load);
+  if (std::string(walk) == "portable") {
+    EXPECT_STREQ(workload.walk_name(), "portable");
+  }
 
   std::string out;
   std::vector<PageOutcomeEvent> outcomes;
-  for (int batch = 0; batch < 6; ++batch) {
-    daemon.run_slots(8, &workload);
+  for (int slot = 0; slot < 48; ++slot) {
+    daemon.run_slots(1, &workload);
     outcomes.clear();
     daemon.drain_outcomes(&outcomes);
     for (const PageOutcomeEvent& event : outcomes) {
@@ -464,25 +516,83 @@ std::string outcome_stream(AdmissionPolicy policy, int threads) {
              std::to_string(event.slot) + ' ' +
              std::to_string(event.client) + '\n';
     }
+    std::string table;
+    for (std::uint64_t t = 0; t < load.terminals; ++t) {
+      const Pcnd::TerminalInfo info = daemon.terminal_info(t);
+      table += std::to_string(info.center.q) + ',' +
+               std::to_string(info.center.r) + ',' +
+               std::to_string(info.sequence) + ',' +
+               std::to_string(info.radius) + ';';
+    }
+    out += "table " + std::to_string(fnv1a64(table)) + '\n';
   }
   return out;
 }
 
 // DRAIN visits queues cell-major, so outcomes within a slot come out in
 // queue order rather than arrival order; that order must still be a pure
-// function of the slot's requests, whatever the worker count.
+// function of the slot's requests, whatever the worker count — and
+// whichever walk generated them.
 TEST(Pcnd, OutcomeStreamIsIdenticalAcrossThreadCounts) {
   for (const AdmissionPolicy policy :
        {AdmissionPolicy::kDropNewest, AdmissionPolicy::kDropOldest,
         AdmissionPolicy::kPriorityDelayBound}) {
     SCOPED_TRACE(to_string(policy));
-    const std::string one = outcome_stream(policy, 1);
-    EXPECT_EQ(one, outcome_stream(policy, 2));
-    EXPECT_EQ(one, outcome_stream(policy, 4));
-    EXPECT_EQ(one, outcome_stream(policy, 5));
+    const std::string one = outcome_stream(overload_load(), policy, 1, "auto");
+    for (const char* walk : kWalks) {
+      SCOPED_TRACE(walk);
+      for (const int threads : {1, 2, 4, 5}) {
+        EXPECT_EQ(one, outcome_stream(overload_load(), policy, threads, walk))
+            << threads << " threads";
+      }
+    }
     // Sanity: overload produced served and dropped verdicts alike.
     EXPECT_NE(one.find('S'), std::string::npos);
     EXPECT_NE(one.find('D'), std::string::npos);
+  }
+}
+
+// The two walks take different code paths only through their arithmetic:
+// the shapes where that arithmetic has edges must emit the same requests.
+TEST(Pcnd, ClosedLoopWalksAgreeAtTheEdgesOfTheConfigSpace) {
+  struct Variant {
+    const char* name;
+    ClosedLoopConfig load;
+  };
+  std::vector<Variant> variants;
+  const auto add = [&variants](const char* name, auto&& edit) {
+    ClosedLoopConfig load = overload_load();
+    edit(load);
+    variants.push_back({name, load});
+  };
+  add("one_d", [](ClosedLoopConfig& c) {
+    c.dimension = Dimension::kOneD;
+    c.region = 36;
+  });
+  // 1003 terminals over 16 shards: 63 or 62 lanes, never a multiple of 8.
+  add("ragged_shards", [](ClosedLoopConfig& c) { c.terminals = 1003; });
+  add("region_1", [](ClosedLoopConfig& c) { c.region = 1; });
+  add("region_3", [](ClosedLoopConfig& c) { c.region = 3; });
+  add("threshold_1", [](ClosedLoopConfig& c) { c.threshold = 1; });
+  add("move_0", [](ClosedLoopConfig& c) { c.move_prob = 0.0; });
+  add("move_1", [](ClosedLoopConfig& c) { c.move_prob = 1.0; });
+  add("call_1", [](ClosedLoopConfig& c) { c.call_prob = 1.0; });
+  add("one_d_move_1", [](ClosedLoopConfig& c) {
+    c.dimension = Dimension::kOneD;
+    c.move_prob = 1.0;
+    c.threshold = 1;
+  });
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.name);
+    const std::string one = outcome_stream(
+        variant.load, AdmissionPolicy::kDropNewest, 1, "portable");
+    EXPECT_EQ(one, outcome_stream(variant.load, AdmissionPolicy::kDropNewest,
+                                  4, "portable"));
+    EXPECT_EQ(one, outcome_stream(variant.load, AdmissionPolicy::kDropNewest,
+                                  1, "auto"));
+    EXPECT_EQ(one, outcome_stream(variant.load, AdmissionPolicy::kDropNewest,
+                                  4, "auto"));
+    EXPECT_NE(one.find('S'), std::string::npos);
   }
 }
 
@@ -571,19 +681,12 @@ TEST(Pcnd, QueuesServeHostileCells) {
   }
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 /// A 2x-overloaded closed-loop run at pin scale: every counter (wall
 /// time aside), the exact delay histogram, the sampled flight trace and
-/// every generator tally, in one string.
-std::string pinned_run(int threads) {
+/// every generator tally, in one string.  `region` cells wide in 1-D
+/// and region^2 cells in 2-D.
+std::string pinned_run(int threads, Dimension dimension = Dimension::kTwoD,
+                       int region = 16) {
   PcndConfig config;
   config.threads = threads;
   config.capacity = capacity::PagingCapacityModel(2, 1.0);
@@ -597,7 +700,8 @@ std::string pinned_run(int threads) {
   ClosedLoopConfig workload_config;
   workload_config.seed = 2024;
   workload_config.terminals = 20'000;
-  workload_config.region = 16;
+  workload_config.region = region;
+  workload_config.dimension = dimension;
   workload_config.call_prob = 0.05;  // 1000 pages/slot vs 512 capacity
   ClosedLoopWorkload workload(workload_config);
   daemon.run_slots(200, &workload);
@@ -634,6 +738,15 @@ TEST(Pcnd, ClosedLoopOutputDigestIsPinned) {
   // On a mismatch, the counter block says which path moved.
   EXPECT_EQ(fnv1a64(one), kDigest) << one.substr(0, one.find('{'));
   EXPECT_EQ(fnv1a64(pinned_run(4)), kDigest);
+}
+
+// The same pin on a 256-cell line: the 1-D walk (bit 0 picks the step,
+// distance |offset|) at the 2-D pin's 512 pages/slot capacity.
+TEST(Pcnd, ClosedLoopOneDimOutputDigestIsPinned) {
+  constexpr std::uint64_t kDigest = 0x778e99bfaf5867aeull;
+  const std::string one = pinned_run(1, Dimension::kOneD, 256);
+  EXPECT_EQ(fnv1a64(one), kDigest) << one.substr(0, one.find('{'));
+  EXPECT_EQ(fnv1a64(pinned_run(4, Dimension::kOneD, 256)), kDigest);
 }
 
 TEST(Pcnd, ClosedLoopWorkloadKeepsOnePageInFlight) {

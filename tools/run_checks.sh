@@ -29,10 +29,12 @@
 #      print byte-identical reports (both engines follow one draw
 #      contract; any drift fails the diff),
 #   7. SIMD gate — the SIMD-vs-reference bit-identity property suite
-#      (tier 2), the perf_micro per-slot-cost bench in smoke mode, and the
+#      (tier 2), the perf_micro per-slot-cost bench in smoke mode, the
 #      pcnctl engine paths with every kernel disabled (PCN_SIMD_ISA=none):
 #      --engine auto must fall back to the reference engine's report,
-#      forced --engine simd must error,
+#      forced --engine simd must error, and the pcnd closed-loop pins
+#      (digests, outcome streams, DaemonSoak rows) re-run on the
+#      generator's portable walk (PCN_SIMD_ISA=portable and none),
 #   8. portable-fallback build — the AVX2 kernel configured OFF
 #      (-DPCN_SIMD_AVX2=OFF) must compile and pass tier-1, proving the
 #      scalar-emulation kernel carries the engine on non-AVX2 hardware,
@@ -148,7 +150,7 @@ rm -rf "$engine_dir"
 echo "== [7/12] SIMD gate: bit-identity suite + perf_micro smoke =="
 cmake --build --preset default -j "$jobs" \
   --target test_prop_simd_vs_reference test_prop_simd_statistical \
-  test_counter_rng perf_micro pcnctl
+  test_counter_rng test_daemon test_daemon_soak perf_micro pcnctl
 # The tier-2 identity suite diffs SIMD metrics against the reference
 # engine, bit for bit, at 1 and 4 threads over random scenarios; the
 # statistical suite checks the SIMD engine against the cost model.
@@ -189,6 +191,11 @@ if PCN_SIMD_ISA=none ./build/tools/pcnctl simulate --dim 2 \
 else
   echo "simd CLI gate ok: forced simd without kernels errors"
 fi
+
+# The load generator's walk follows PCN_SIMD_ISA too: its pins must hold
+# with the portable walk forced and with every kernel disabled.
+ctest --test-dir build -R '^daemon_(soak_)?walk_pins_' --output-on-failure \
+  -j "$jobs"
 
 echo "== [8/12] portable-fallback build (-DPCN_SIMD_AVX2=OFF): tier-1 =="
 cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=RelWithDebInfo \
