@@ -74,7 +74,7 @@ int main() {
           near.threshold, near.total_cost, penalty(near), near.evaluations);
       report
           .add_row((m == 0 ? std::string("unbounded")
-                           : "m" + std::to_string(m)) +
+                           : std::string("m").append(std::to_string(m))) +
                    "/U=" + std::to_string(static_cast<int>(update_cost)))
           .set("scan_d", scan.threshold)
           .set("scan_cost", scan.total_cost)

@@ -51,7 +51,8 @@ void print_panel(pcn::Dimension dim, const char* title,
           m == 0 ? pcn::DelayBound::unbounded() : pcn::DelayBound(m);
       const pcn::optimize::Optimum optimum =
           pcn::optimize::exhaustive_search(model, bound, kMaxThreshold);
-      const std::string key = m == 0 ? "unbounded" : "m" + std::to_string(m);
+      const std::string key =
+          m == 0 ? "unbounded" : std::string("m").append(std::to_string(m));
       row.set(key + "_d", optimum.threshold);
       row.set(key + "_cost", optimum.total_cost);
       std::printf(" %6.4f (%2d) |", optimum.total_cost, optimum.threshold);

@@ -63,7 +63,8 @@ std::int64_t print_table(bool legacy, pcn::obs::BenchReport& report) {
       const pcn::optimize::Optimum optimum =
           pcn::optimize::exhaustive_search(model, bound, kMaxThreshold);
       evaluations += optimum.evaluations;
-      const std::string key = m == 0 ? "unbounded" : "m" + std::to_string(m);
+      const std::string key =
+          m == 0 ? "unbounded" : std::string("m").append(std::to_string(m));
       row.set(key + "_d", optimum.threshold);
       row.set(key + "_cost", optimum.total_cost);
       std::printf(" %2d  %6.3f |", optimum.threshold, optimum.total_cost);

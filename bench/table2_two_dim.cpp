@@ -81,7 +81,7 @@ int main() {
       if (approx_raw.threshold != exact.threshold) ++near_misses;
       report
           .add_row((m == 0 ? std::string("unbounded")
-                           : "m" + std::to_string(m)) +
+                           : std::string("m").append(std::to_string(m))) +
                    "/U=" + std::to_string(static_cast<int>(update_cost)))
           .set("exact_d", exact.threshold)
           .set("exact_cost", exact.total_cost)

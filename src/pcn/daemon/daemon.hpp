@@ -22,9 +22,10 @@
 //     index the queue.  Threads own shards (shard s -> worker s % T),
 //     never split them.  Storage order never drives processing order:
 //     APPLY walks the sorted batch, then the workload's increasing ids.
-//   * A slot is three barrier-separated phases.  INGEST (serial, in the
-//     barrier completion): drain the ring once, stable-sort the batch by
-//     (terminal, kind, sequence, page), bucket per terminal shard.
+//   * A slot is four phases, each finished before the next starts.
+//     INGEST (serial, on the run_slots caller): drain the ring once,
+//     stable-sort the batch by (terminal, kind, sequence, page), bucket
+//     per terminal shard.
 //     APPLY (parallel over terminal shards): apply updates in sorted
 //     order, route page submits to per-(terminal-shard, queue-shard)
 //     intent lists; the attached SlotWorkload generates its shard's
@@ -34,7 +35,10 @@
 //     stably by queue, then visit each queue once in array order,
 //     enqueueing its intents and draining it against the slot budget.
 //   * Per-shard metric cells (MetricsRegistry) and per-shard flight/
-//     outcome buffers, merged at the slot barrier in shard order.
+//     outcome buffers, merged in FINALIZE (serial) in shard order.
+//     APPLY and DRAIN each run as one fork-join on a ShardPool
+//     (common/shard_pool.hpp) whose worker threads persist across slots
+//     and run_slots calls.
 //
 // The daemon never blocks a producer: a full ring rejects the push and
 // the rejection is counted (daemon.request.rejected_ring_full).
@@ -48,6 +52,7 @@
 
 #include "pcn/capacity/paging_capacity.hpp"
 #include "pcn/common/params.hpp"
+#include "pcn/common/shard_pool.hpp"
 #include "pcn/daemon/delay_planner.hpp"
 #include "pcn/daemon/paging_queue.hpp"
 #include "pcn/daemon/request_ring.hpp"
@@ -442,13 +447,17 @@ class Pcnd {
   obs::Gauge cells_pending_gauge_;
   obs::Histogram delay_hist_;
   obs::Histogram depth_hist_;
-  // Per-slot barrier-phase timing (serialized TSC, microseconds).  These
+  // Per-slot phase timing (serialized TSC, microseconds).  These
   // are histograms, not counters, so the determinism fingerprint over
   // counters is untouched by wall-clock jitter.
   obs::Histogram phase_ingest_;
   obs::Histogram phase_apply_;
   obs::Histogram phase_drain_;
   obs::Histogram phase_finalize_;
+
+  /// APPLY/DRAIN workers; declared last so its threads are joined before
+  /// any state they touch is destroyed.
+  ShardPool pool_;
 };
 
 }  // namespace pcn::daemon

@@ -17,7 +17,7 @@
 //   * `socket` — front-end health (frames in/out, decode errors,
 //     ring-full rejections, disconnects, staged-outbox high watermark);
 //     all zero when no socket front end was attached;
-//   * `phase_us` — mean per-slot barrier-phase times from the
+//   * `phase_us` — mean per-slot phase times from the
 //     daemon.phase.* histograms (0 until a slot has run).
 #pragma once
 
@@ -84,7 +84,7 @@ struct DaemonRunReport {
   std::int64_t socket_disconnects = 0;
   std::int64_t socket_outbox_bytes_hwm = 0;
 
-  // Mean per-slot barrier-phase times, microseconds.
+  // Mean per-slot phase times, microseconds.
   double phase_ingest_us = 0.0;
   double phase_apply_us = 0.0;
   double phase_drain_us = 0.0;

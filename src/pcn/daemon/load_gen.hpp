@@ -126,7 +126,7 @@ class ClosedLoopWorkload final : public SlotWorkload {
     bool registered = false;
     std::vector<std::int32_t> pos_q, pos_r, off_q, off_r;
     /// Plain bytes, not atomics: for one terminal the daemon's phase
-    /// barriers order every access (generate in APPLY, the verdict in
+    /// joins order every access (generate in APPLY, the verdict in
     /// APPLY or a later DRAIN), and closed loop means at most one verdict
     /// per slot.
     std::vector<std::uint8_t> in_flight;

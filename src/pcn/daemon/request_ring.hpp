@@ -2,7 +2,7 @@
 //
 // Producers (socket readers, load generators, test threads) push
 // DaemonRequest values concurrently; the daemon drains the ring exactly
-// once per slot, at a barrier, on a single thread.  The ring is the
+// once per slot, in the serial INGEST step, on a single thread.  The ring is the
 // classic bounded MPMC sequence queue (Vyukov): each cell carries a
 // sequence counter whose distance from the head/tail ticket says whether
 // the cell is free, full, or in flight.  Both push and pop are a single
@@ -47,7 +47,7 @@ struct DaemonRequest {
 
 /// Bounded multi-producer ring of DaemonRequest.  Capacity is rounded up
 /// to a power of two.  try_pop is safe from multiple threads too, but
-/// pcnd only ever drains from one thread at a barrier.
+/// pcnd only ever drains from one thread, in INGEST.
 class RequestRing {
  public:
   explicit RequestRing(std::size_t min_capacity) {

@@ -6,6 +6,7 @@
 
 #include "pcn/common/error.hpp"
 #include "pcn/common/params.hpp"
+#include "pcn/common/shard_pool.hpp"
 
 #include "pcn/geometry/cell.hpp"
 #include "pcn/geometry/hex.hpp"
@@ -45,13 +46,13 @@
 #include "pcn/proto/messages.hpp"
 #include "pcn/proto/wire.hpp"
 
-#include "pcn/sim/event_queue.hpp"
 #include "pcn/sim/location_server.hpp"
 #include "pcn/sim/metrics.hpp"
 #include "pcn/sim/mobility.hpp"
 #include "pcn/sim/network.hpp"
 #include "pcn/sim/observer.hpp"
 #include "pcn/sim/paging_policy.hpp"
+#include "pcn/sim/sim_time.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/sim/update_policy.hpp"
 

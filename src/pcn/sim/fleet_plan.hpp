@@ -52,16 +52,18 @@ struct PagingTable {
   costs::Partition partition;      ///< dedupe key (operator==)
   int threshold = 0;
   int cycles = 0;                  ///< subarea count
-  std::vector<std::int32_t> cycle_of;  ///< ring distance -> subarea
-  std::vector<std::int64_t> size;      ///< cells polled in cycle j
-  std::vector<std::int64_t> cum;       ///< cells polled through cycle j
-  std::vector<std::int32_t> ring_lo;   ///< nearest ring in cycle j
-  std::vector<std::int32_t> ring_hi;   ///< farthest ring in cycle j
+  // The {} initialisers let `PagingTable table{partition};` leave every
+  // vector empty without -Wmissing-field-initializers.
+  std::vector<std::int32_t> cycle_of{};  ///< ring distance -> subarea
+  std::vector<std::int64_t> size{};      ///< cells polled in cycle j
+  std::vector<std::int64_t> cum{};       ///< cells polled through cycle j
+  std::vector<std::int32_t> ring_lo{};   ///< nearest ring in cycle j
+  std::vector<std::int32_t> ring_hi{};   ///< farthest ring in cycle j
   /// PageRequest frame bytes of cycle j minus the per-call varints
   /// (page id, terminal id, absolute first-cell coordinates).
-  std::vector<std::int64_t> inv_bytes;
+  std::vector<std::int64_t> inv_bytes{};
   /// First polled cell of cycle j, relative to the knowledge center.
-  std::vector<std::int64_t> off_q, off_r;
+  std::vector<std::int64_t> off_q{}, off_r{};
 };
 
 /// Static per-terminal plan arrays + interned paging tables, rebuilt by
@@ -88,8 +90,8 @@ struct FleetPlan {
   /// Verifies that the whole fleet matches the canonical scenario and
   /// (re)builds the arrays and tables.  Returns false — with the first
   /// offending condition in `*why` — when the fast path cannot be taken.
-  /// Safe to call again after user events mutated the fleet (thresholds
-  /// re-read, tables rebuilt).  Non-const: the knowledge handles the
+  /// Safe to call again after the caller mutated the fleet between run()
+  /// calls (thresholds re-read, tables rebuilt).  Non-const: the knowledge handles the
   /// engines sync through are resolved here.
   bool build(Network& net, std::string* why);
 

@@ -19,7 +19,7 @@
 #include <unordered_map>
 
 #include "pcn/geometry/cell.hpp"
-#include "pcn/sim/event_queue.hpp"
+#include "pcn/sim/sim_time.hpp"
 
 namespace pcn::sim {
 

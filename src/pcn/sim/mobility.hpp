@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "pcn/geometry/cell.hpp"
-#include "pcn/sim/event_queue.hpp"
+#include "pcn/sim/sim_time.hpp"
 
 namespace pcn::sim {
 

@@ -1,7 +1,6 @@
 #include "pcn/sim/network.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <optional>
 #include <thread>
 
@@ -13,8 +12,8 @@
 
 namespace {
 
-/// Minimum slots x terminals in an event-free range before spawning shard
-/// workers pays for itself; smaller ranges run inline.
+/// Minimum slots x terminals in a segment before fanning it out to the
+/// shard workers pays for itself; smaller segments run inline.
 constexpr std::int64_t kParallelWorkFloor = 1 << 14;
 
 using pcn::sim::obs_detail::kPageSampleEvery;
@@ -119,7 +118,7 @@ TerminalId Network::add_terminal(TerminalSpec spec) {
   PCN_EXPECT(spec.mobility && spec.update_policy && spec.paging_policy,
              "Network::add_terminal: incomplete terminal spec");
   const auto id = static_cast<TerminalId>(attachments_.size());
-  const SimTime now = events_.now();
+  const SimTime now = now_;
 
   spec.update_policy->on_center_reset(spec.start, now);
   if (const auto radius = spec.update_policy->containment_radius()) {
@@ -146,11 +145,11 @@ void Network::run(std::int64_t slots) {
     stats_->run_slots.add(slots);
     run_timer.emplace(stats_->run_wall_ns);
   }
-  const SimTime end = events_.now() + slots;
+  const SimTime end = now_ + slots;
   Scratch scratch;
   if (flight_ != nullptr) {
     // One shard per possible worker (shard 0 doubles as the inline shard);
-    // preallocated here, before any worker thread exists.
+    // preallocated here, before any worker runs.
     const std::size_t shards = std::max<std::size_t>(
         1, std::min<std::size_t>(
                static_cast<std::size_t>(resolved_threads()),
@@ -158,52 +157,31 @@ void Network::run(std::int64_t slots) {
     flight_->ensure_shards(shards);
     scratch.flight = &flight_->shard(0);
   }
-  // Direct slot loop (no per-slot kernel event): user-scheduled events due
-  // at or before a slot run first, then the slot's terminal work — the same
-  // order the old self-rescheduling tick produced.  Ranges with no queued
-  // events are handed to run_segment, which may fan terminals out across
-  // shard workers.
-  SimTime t = events_.now();
+  // The run splits only at timeseries sampling boundaries: each segment
+  // ends on one, so every terminal has finished the boundary slot — and
+  // every shard worker has flushed its tally — before the snapshot.
   const std::int64_t every = config_.timeseries_every_slots;
   if (timeseries_ != nullptr) {
     timeseries_->reserve(static_cast<std::size_t>(slots / every) + 2);
     if (timeseries_->sample_count() == 0) {
       // Baseline sample before the first slot so deltas start from zero.
-      timeseries_->sample(t, registry_->snapshot());
+      timeseries_->sample(now_, registry_->snapshot());
     }
   }
-  while (t < end) {
-    SimTime range_end = end;
-    if (!events_.empty()) {
-      range_end = std::min(range_end, events_.next_time() - 1);
-    }
+  while (now_ < end) {
+    const SimTime range_end =
+        timeseries_ != nullptr ? std::min(end, (now_ / every + 1) * every)
+                               : end;
+    run_segment(now_ + 1, range_end, scratch);
+    now_ = range_end;
     if (timeseries_ != nullptr) {
-      // Stop each event-free segment at the next sampling boundary, so
-      // every terminal has finished the boundary slot — and every shard
-      // worker has flushed its tally — before the snapshot is taken.
-      range_end = std::min(range_end, ((t / every) + 1) * every);
-    }
-    if (range_end > t) {
-      run_segment(t + 1, range_end, scratch);
-      t = range_end;
-    } else {
-      events_.run_until(t + 1);
-      // User events may have re-targeted policies (set_threshold) or
-      // attached terminals; the next event-free segment re-verifies the
-      // fleet before taking the fast path.
-      if (simd_ != nullptr) fastpath_revalidate_ = true;
-      process_slot(t + 1, scratch);
-      t = t + 1;
-    }
-    if (timeseries_ != nullptr && (t % every == 0 || t == end)) {
       // The inline scratch tally is the only state not yet flushed (shard
-      // workers flush at segment end); fold it in so the sample at slot t
-      // reflects every completed slot exactly.
+      // workers flush at segment end); fold it in so the sample at this
+      // slot reflects every completed slot exactly.
       if (stats_ != nullptr) stats_->flush(scratch.tally, scratch.shard);
-      timeseries_->sample(t, registry_->snapshot());
+      timeseries_->sample(now_, registry_->snapshot());
     }
   }
-  events_.run_until(end);  // drains nothing; syncs the kernel clock
   if (stats_ != nullptr) stats_->flush(scratch.tally, scratch.shard);
 }
 
@@ -223,7 +201,6 @@ std::size_t Network::simd_bytes_per_terminal() const {
 
 void Network::select_engine() {
   simd_.reset();
-  fastpath_revalidate_ = false;
   if (config_.engine == SimEngine::kReference) return;
   // Both engines follow the same draw contract, so kAuto may take the
   // lane engine whenever it can run and fall back silently otherwise.
@@ -251,53 +228,30 @@ void Network::run_segment(SimTime first, SimTime last, Scratch& scratch) {
     if (!inline_run) stats_->segment_parallel.increment();
     segment_timer.emplace(stats_->segment_wall_ns);
   }
-  if (fastpath_revalidate_ && simd_ != nullptr) {
-    // Events ran since the fast path was selected; re-verify the fleet.
-    fastpath_revalidate_ = false;
-    std::string why;
-    if (!simd_->prepare(&why)) {
-      if (config_.engine == SimEngine::kSimd) {
-        detail::throw_invalid_argument("Network: simd engine: " + why);
-      }
-      simd_.reset();
-    }
-  }
-  if (simd_ != nullptr) {
-    simd_->run_segment(first, last, scratch, !inline_run);
-  } else if (inline_run) {
+  if (simd_ == nullptr && inline_run) {
     for (SimTime t = first; t <= last; ++t) process_slot(t, scratch);
-  } else {
-    const std::size_t shards = std::min<std::size_t>(
-        static_cast<std::size_t>(threads), attachments_.size());
-    std::vector<std::exception_ptr> errors(shards);
-    std::vector<std::thread> workers;
-    workers.reserve(shards - 1);
-    auto shard_begin = [&](std::size_t s) {
-      return attachments_.size() * s / shards;
-    };
-    for (std::size_t s = 1; s < shards; ++s) {
-      workers.emplace_back([this, s, first, last, &shard_begin, &errors] {
-        Scratch local;
-        local.shard = s;
-        if (flight_ != nullptr) local.flight = &flight_->shard(s);
-        try {
-          run_shard(shard_begin(s), shard_begin(s + 1), first, last, local);
-        } catch (...) {
-          errors[s] = std::current_exception();
-        }
-      });
-    }
-    try {
-      run_shard(shard_begin(0), shard_begin(1), first, last, scratch);
-    } catch (...) {
-      errors[0] = std::current_exception();
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
+    return;
   }
-  events_.run_until(last);  // no events in the range; syncs the clock
+  // Shard s covers attachments [n*s/shards, n*(s+1)/shards) on worker s
+  // with telemetry shard s; worker 0 is this thread and uses `scratch`.
+  const std::size_t n = attachments_.size();
+  const std::size_t shards =
+      inline_run ? 1
+                 : std::min<std::size_t>(static_cast<std::size_t>(threads), n);
+  pool_.run(static_cast<int>(shards), [&](int worker) {
+    const auto s = static_cast<std::size_t>(worker);
+    Scratch local;
+    local.shard = s;
+    if (flight_ != nullptr) local.flight = &flight_->shard(s);
+    Scratch& shard_scratch = s == 0 ? scratch : local;
+    const std::size_t begin = n * s / shards;
+    const std::size_t end = n * (s + 1) / shards;
+    if (simd_ != nullptr) {
+      simd_->run_shard(begin, end, first, last, shard_scratch);
+    } else {
+      run_shard(begin, end, first, last, shard_scratch);
+    }
+  });
 }
 
 void Network::run_shard(std::size_t begin, std::size_t end, SimTime first,

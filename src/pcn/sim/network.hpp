@@ -1,10 +1,10 @@
 // The PCN network simulation: slotted evolution of terminals, location
 // updates, call deliveries and delay-bounded paging.  A direct slot loop
-// drives the per-terminal work; user events scheduled through the
-// discrete-event kernel run at their slot, and the event-free slot ranges
-// between them shard the terminal fleet across a worker pool
-// (NetworkConfig::threads) with bit-identical metrics for every thread
-// count — terminals share no mutable state, so shards need no locks.
+// drives the per-terminal work, sharding the terminal fleet across a
+// persistent worker pool (NetworkConfig::threads) with bit-identical
+// metrics for every thread count — terminals share no mutable state, so
+// shards need no locks.  The clock is purely slotted: a caller that wants
+// to change a policy mid-run does so between two run(k) calls.
 //
 // Slot semantics (see DESIGN.md):
 //   * kChainFaithful — per slot exactly one of {call (prob c), move (prob
@@ -20,14 +20,15 @@
 #include <vector>
 
 #include "pcn/common/params.hpp"
+#include "pcn/common/shard_pool.hpp"
 #include "pcn/obs/flight_recorder.hpp"
 #include "pcn/obs/metrics.hpp"
 #include "pcn/obs/timeseries.hpp"
-#include "pcn/sim/event_queue.hpp"
 #include "pcn/sim/location_server.hpp"
 #include "pcn/sim/metrics.hpp"
 #include "pcn/sim/observer.hpp"
 #include "pcn/sim/paging_policy.hpp"
+#include "pcn/sim/sim_time.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/stats/counter_rng.hpp"
 
@@ -173,11 +174,10 @@ class Network {
   void set_observer(NetworkObserver* observer) { observer_ = observer; }
   LocationServer& server() { return server_; }
   const LocationServer& server() const { return server_; }
-  EventQueue& events() { return events_; }
   const NetworkConfig& config() const { return config_; }
   std::size_t terminal_count() const { return attachments_.size(); }
   /// Current simulation time (= slots simulated so far).
-  SimTime now() const { return events_.now(); }
+  SimTime now() const { return now_; }
 
   /// The runtime-telemetry registry (always present; populated by the
   /// simulator only when NetworkConfig::collect_runtime_stats is set —
@@ -202,7 +202,7 @@ class Network {
   const PagingPolicy& paging_policy(TerminalId id) const;
 
   /// True when the last run() (or the one in progress) took the
-  /// lane-parallel SIMD engine for its event-free slot ranges.
+  /// lane-parallel SIMD engine.
   bool simd_active() const { return simd_ != nullptr; }
 
   /// The instruction-set path the active SIMD engine runs ("avx2" or
@@ -250,8 +250,8 @@ class Network {
     std::uint32_t flight_seq = 0;
   };
 
-  /// Simulates slots `first`..`last` (inclusive), a range guaranteed free
-  /// of queued events; dispatches to the shard workers when profitable.
+  /// Simulates slots `first`..`last` (inclusive) on the active engine;
+  /// fans the fleet out across the shard pool when profitable.
   void run_segment(SimTime first, SimTime last, Scratch& scratch);
   /// Terminal-major evolution of attachments [begin, end) over the slot
   /// range — the per-shard worker body.
@@ -270,7 +270,8 @@ class Network {
 
   NetworkConfig config_;
   CostWeights weights_;
-  EventQueue events_;
+  /// Slots simulated so far.
+  SimTime now_ = 0;
   LocationServer server_;
   /// The slot-draw contract every engine evaluates.
   stats::SlotDraws draws_;
@@ -291,10 +292,9 @@ class Network {
   /// Lane-parallel SIMD fast path; null when the reference engine is in
   /// force (a fallback case, or engine = kReference).
   std::unique_ptr<SimdEngine> simd_;
-  /// Set when user events ran mid-run: they may have re-targeted policies
-  /// (set_threshold) or attached terminals, so the next event-free segment
-  /// re-verifies the fleet before taking the fast path.
-  bool fastpath_revalidate_ = false;
+  /// Shard workers for run_segment; declared last so its threads are
+  /// joined before any state they touch is destroyed.
+  ShardPool pool_;
 };
 
 }  // namespace pcn::sim

@@ -9,8 +9,8 @@
 #include <cstdint>
 
 #include "pcn/geometry/cell.hpp"
-#include "pcn/sim/event_queue.hpp"
 #include "pcn/sim/location_server.hpp"
+#include "pcn/sim/sim_time.hpp"
 
 namespace pcn::sim {
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
 #include <optional>
 #include <string_view>
-#include <thread>
 
 #include "pcn/geometry/cell.hpp"
 #include "pcn/obs/timer.hpp"
@@ -134,48 +132,6 @@ bool SimdEngine::prepare(std::string* why) {
     table_[i] = &plan_.tables[static_cast<std::size_t>(plan_.table[i])];
   }
   return true;
-}
-
-void SimdEngine::run_segment(SimTime first, SimTime last,
-                             Network::Scratch& scratch, bool use_workers) {
-  const std::size_t n = net_.attachments_.size();
-  if (n == 0 || last < first) return;
-  std::size_t shards = 1;
-  if (use_workers) {
-    shards = std::min<std::size_t>(
-        static_cast<std::size_t>(net_.resolved_threads()), n);
-  }
-  if (shards <= 1) {
-    run_shard(0, n, first, last, scratch);
-    return;
-  }
-  // Same fan-out shape as the reference engine: worker s owns telemetry
-  // shard s, shard 0 runs on the caller.  The shard boundaries don't
-  // affect results — every lane draws from its own counter stream.
-  std::vector<std::exception_ptr> errors(shards);
-  std::vector<std::thread> workers;
-  workers.reserve(shards - 1);
-  auto shard_begin = [&](std::size_t s) { return n * s / shards; };
-  for (std::size_t s = 1; s < shards; ++s) {
-    workers.emplace_back([this, s, first, last, &shard_begin, &errors] {
-      Network::Scratch local;
-      local.shard = s;
-      try {
-        run_shard(shard_begin(s), shard_begin(s + 1), first, last, local);
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  try {
-    run_shard(shard_begin(0), shard_begin(1), first, last, scratch);
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  for (std::thread& worker : workers) worker.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
 }
 
 void SimdEngine::run_shard(std::size_t begin, std::size_t end,

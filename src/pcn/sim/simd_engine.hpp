@@ -73,11 +73,12 @@ class SimdEngine {
   /// run.
   bool prepare(std::string* why);
 
-  /// Runs the event-free slot range [first, last] over every terminal in
-  /// cache-blocked batches, fanning batches across shard workers when
-  /// `use_workers`.
-  void run_segment(SimTime first, SimTime last, Network::Scratch& scratch,
-                   bool use_workers);
+  /// Shard body: evolves attachments [begin, end) over the slot range
+  /// [first, last] in kBatchLanes-sized batches of 8-lane kernel blocks.
+  /// Network::run_segment fans the shards out; the shard boundaries don't
+  /// affect results, since every lane draws from its own counter stream.
+  void run_shard(std::size_t begin, std::size_t end, SimTime first,
+                 SimTime last, Network::Scratch& scratch);
 
   /// Flat engine state per terminal, in bytes (static plan + hot lane
   /// arrays); 149, pinned by tests/sim/test_simd_engine.cpp.
@@ -87,11 +88,6 @@ class SimdEngine {
   SimdIsa isa() const { return isa_; }
 
  private:
-  /// Worker body: evolves attachments [begin, end) over [first, last] in
-  /// kBatchLanes-sized batches of 8-lane kernel blocks.
-  void run_shard(std::size_t begin, std::size_t end, SimTime first,
-                 SimTime last, Network::Scratch& scratch);
-
   /// One cache-blocked batch: objects -> lane scratch, kernel blocks over
   /// the full slot range, lane scratch -> objects + metrics.
   void run_batch(std::size_t begin, std::size_t end, SimTime first,

@@ -1,8 +1,8 @@
 // Kernel ABI for the lane-parallel SIMD slot-loop engine.
 //
 // The engine (simd_engine.cpp) slices each cache-blocked terminal batch
-// into 8-lane blocks and hands every block to one of three kernels over an
-// event-free slot range:
+// into 8-lane blocks and hands every block to one of three kernels over a
+// slot range:
 //
 //   * run_block_portable  — scalar code, built into every binary; also
 //     serves partial (< 8 lane) tail blocks.  Each lane-slot evaluates the
@@ -36,8 +36,8 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "pcn/sim/event_queue.hpp"
 #include "pcn/sim/fleet_plan.hpp"
+#include "pcn/sim/sim_time.hpp"
 #include "pcn/stats/counter_rng.hpp"
 
 namespace pcn::sim::simd_detail {

@@ -18,7 +18,7 @@
 #include <string>
 
 #include "pcn/geometry/cell.hpp"
-#include "pcn/sim/event_queue.hpp"
+#include "pcn/sim/sim_time.hpp"
 
 namespace pcn::sim {
 

@@ -4,8 +4,8 @@
 // reference engine bit for bit — every TerminalMetrics field including
 // floating-point costs and histograms, and the signalling byte counts —
 // across dimensions, slot semantics, thresholds and delay bounds, at 1
-// and 4 threads, on the portable and AVX2 kernels, and with runs split by
-// user events or by separate run() calls.  The lane engine also agrees
+// and 4 threads, on the portable and AVX2 kernels, and with runs split
+// into separate run() calls.  The lane engine also agrees
 // with itself across reruns, thread counts, run splits and kernels.  Also covers engine selection:
 // kAuto takes the SIMD engine for canonical fleets and falls back to the
 // reference engine for everything else; forced kSimd rejects the same
@@ -398,13 +398,14 @@ TEST(SimdEngine, UserEventsSplittingTheRunPreserveIdentity) {
                   kWeights);
   const std::vector<TerminalId> ids =
       add_canonical_fleet(network, Dimension::kTwoD);
-  // Events force segment boundaries, run their slot on the reference
-  // path, and send the next segment through the fleet revalidation.
-  for (SimTime at :
-       {SimTime{1}, SimTime{1500}, SimTime{1501}, SimTime{kSlots - 1}}) {
-    network.events().schedule(at, [] {});
+  // run(k) calls ending at these slots; each call re-prepares the engine
+  // at entry, as it would after a caller retargeted a policy.
+  SimTime done = 0;
+  for (SimTime at : {SimTime{1}, SimTime{1500}, SimTime{1501},
+                     SimTime{kSlots - 1}, SimTime{kSlots}}) {
+    network.run(at - done);
+    done = at;
   }
-  network.run(kSlots);
   EXPECT_TRUE(network.simd_active());
   expect_all_identical(reference_2d_chain(), collect(network, ids));
 }

@@ -3,9 +3,10 @@
 #   1. default build  — tier-1 (deterministic) then tier-2 (randomized
 #      property + statistical suites),
 #   2. TSan build     — the sharded-simulator determinism suite, the
-#      lock-free metrics-registry concurrency suite, and the
+#      lock-free metrics-registry concurrency suite, the
 #      admin-introspection snapshot-under-fire suite (scrapes racing the
-#      4-thread slot loop),
+#      4-thread slot loop), and the ShardPool fork-join suite (with the
+#      thread-reuse pins of Network and pcnd),
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
 #      the terminal-DB hostile-id and property suites (ids near 2^64,
@@ -58,7 +59,9 @@
 #      report line (pages, admission, drop rate, delay, sla) must be
 #      byte-identical across thread counts, the failure mass must sit on
 #      the policy's own counter (tail drops vs evictions), and each
-#      policy's drop rate must land in the blessed overload band.
+#      policy's drop rate must land in the blessed overload band,
+#  13. warning-clean build — every target built with -DPCN_WERROR=ON at
+#      the default build type (RelWithDebInfo) in build-werror/.
 #
 # Environment:
 #   JOBS=N   parallelism for builds and ctest (default: nproc)
@@ -71,25 +74,25 @@ cd "$(dirname "$0")/.."
 
 jobs=${JOBS:-$(nproc)}
 
-echo "== [1/12] default build: tier-1 + tier-2 =="
+echo "== [1/13] default build: tier-1 + tier-2 =="
 cmake --preset default
 cmake --build --preset default -j "$jobs"
 ctest --preset tier1 -j "$jobs"
 ctest --preset tier2 -j "$jobs"
 
-echo "== [2/12] TSan: sharded-run determinism + metrics registry =="
+echo "== [2/13] TSan: sharded-run determinism + metrics registry =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target test_network_parallel test_metrics_registry \
-  test_admin_introspection
+  test_admin_introspection test_shard_pool
 # The admin-introspection suite reuses the soak scale knobs; TSan's
 # slowdown wants the smoke scenario.
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   ctest --test-dir build-tsan \
-  -R 'NetworkParallel|MetricsRegistry|AdminIntrospection' \
+  -R 'NetworkParallel|MetricsRegistry|AdminIntrospection|ShardPool|ThreadReuse' \
   --output-on-failure -j "$jobs"
 
-echo "== [3/12] ASan+UBSan: wire codec round-trips + terminal DB + queues =="
+echo "== [3/13] ASan+UBSan: wire codec round-trips + terminal DB + queues =="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target test_wire test_messages test_wire_fuzz test_daemon \
@@ -98,7 +101,7 @@ asan_tests='Wire|Messages|PropWireFuzz|Pcnd\.TerminalDb|PropTerminalTable'
 asan_tests+='|Pcnd\.QueuesServeHostileCells|BoundedPagingQueue|PropPagingQueue'
 ctest --test-dir build-asan -R "$asan_tests" --output-on-failure -j "$jobs"
 
-echo "== [4/12] overhead probe: paired-block medians within bounds =="
+echo "== [4/13] overhead probe: paired-block medians within bounds =="
 cmake --build --preset default -j "$jobs" --target perf_scale
 # Skip the google-benchmark sweep; the probe in main() still runs and
 # exits nonzero when a claim's median breaks its bound.
@@ -106,7 +109,7 @@ probe_dir=$(mktemp -d)
 PCN_BENCH_DIR="$probe_dir" ./build/bench/perf_scale --benchmark_filter='^$'
 rm -rf "$probe_dir"
 
-echo "== [5/12] trace SLA gate + bench baseline diff =="
+echo "== [5/13] trace SLA gate + bench baseline diff =="
 cmake --build --preset default -j "$jobs" --target pcnctl table1_one_dim
 # A canned delay-bounded scenario: every call must be answered within the
 # delay bound m; trace-summary exits 1 on any SLA violation.
@@ -127,7 +130,7 @@ else
   echo "bench_compare: skipped (python3 not found)"
 fi
 
-echo "== [6/12] engine identity gate (reference vs simd, exact diff) =="
+echo "== [6/13] engine identity gate (reference vs simd, exact diff) =="
 engine_dir=$(mktemp -d)
 for threads in 1 2; do
   for engine in reference simd; do
@@ -147,7 +150,7 @@ for threads in 1 2; do
 done
 rm -rf "$engine_dir"
 
-echo "== [7/12] SIMD gate: bit-identity suite + perf_micro smoke =="
+echo "== [7/13] SIMD gate: bit-identity suite + perf_micro smoke =="
 cmake --build --preset default -j "$jobs" \
   --target test_prop_simd_vs_reference test_prop_simd_statistical \
   test_counter_rng test_daemon test_daemon_soak perf_micro pcnctl
@@ -197,13 +200,13 @@ fi
 ctest --test-dir build -R '^daemon_(soak_)?walk_pins_' --output-on-failure \
   -j "$jobs"
 
-echo "== [8/12] portable-fallback build (-DPCN_SIMD_AVX2=OFF): tier-1 =="
+echo "== [8/13] portable-fallback build (-DPCN_SIMD_AVX2=OFF): tier-1 =="
 cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPCN_SIMD_AVX2=OFF
 cmake --build build-portable -j "$jobs"
 ctest --test-dir build-portable -LE tier2 --output-on-failure -j "$jobs"
 
-echo "== [9/12] pcnd daemon gate: property + soak + capacity ladder =="
+echo "== [9/13] pcnd daemon gate: property + soak + capacity ladder =="
 cmake --build --preset default -j "$jobs" \
   --target pcnd test_prop_paging_queue test_prop_terminal_table \
   test_daemon_soak
@@ -225,7 +228,7 @@ else
   exit 1
 fi
 
-echo "== [10/12] live introspection gate: admin scrape + pcnctl top =="
+echo "== [10/13] live introspection gate: admin scrape + pcnctl top =="
 cmake --build --preset default -j "$jobs" --target pcnd pcnctl
 # A 2x-overload run serving live scrapes on --admin-socket; pcnctl top
 # must get a pcn.live_snapshot.v1 document out of it mid-flight.  The
@@ -255,7 +258,7 @@ else
   exit 1
 fi
 
-echo "== [11/12] run-timeline gate: capture + codec + changepoint =="
+echo "== [11/13] run-timeline gate: capture + codec + changepoint =="
 cmake --build --preset default -j "$jobs" --target pcnd pcnctl
 # The 2x-overload soak scenario (small queues, 16 channels short) with a
 # timeline sampled every 4 slots.  Everything below is deterministic:
@@ -291,7 +294,7 @@ if [ -z "$onset" ] || [ "$onset" -lt 8 ] || [ "$onset" -gt 200 ]; then
 fi
 echo "timeline gate ok: overload onset at slot $onset (band [8, 200])"
 
-echo "== [12/12] admission-policy gate: per-policy determinism + bands =="
+echo "== [12/13] admission-policy gate: per-policy determinism + bands =="
 cmake --build --preset default -j "$jobs" --target pcnd
 # The same 2x-overload scenario under each admission policy, at 1 and 4
 # worker threads.  The textual report is deterministic except the wall
@@ -341,5 +344,9 @@ for policy in drop_newest drop_oldest priority_delay_bound; do
   echo "admission gate ok: $policy deterministic at 1 vs 4 threads, drop rate $rate"
 done
 rm -rf "$admission_dir"
+
+echo "== [13/13] warning-clean build: -DPCN_WERROR=ON, every target =="
+cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPCN_WERROR=ON
+cmake --build build-werror -j "$jobs"
 
 echo "run_checks: all gates passed."
