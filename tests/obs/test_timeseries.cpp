@@ -3,7 +3,7 @@
 // round-trips, qualified decode errors on corruption), CUSUM changepoint
 // detection, and — the contract the whole layer hangs on — bit-identical
 // capture at 1 vs 4 threads for both the Network engine and the pcnd
-// barrier loop.
+// slot loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
