@@ -1,6 +1,6 @@
 // Lock-free bounded request ring: the in-process front door of pcnd.
 //
-// Producers (socket readers, load generators, test threads) push
+// Producers (the socket I/O thread, load generators, test threads) push
 // DaemonRequest values concurrently; the daemon drains the ring exactly
 // once per slot, in the serial INGEST step, on a single thread.  The ring is the
 // classic bounded MPMC sequence queue (Vyukov): each cell carries a

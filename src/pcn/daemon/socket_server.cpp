@@ -1,5 +1,7 @@
 #include "pcn/daemon/socket_server.hpp"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -25,18 +27,16 @@ constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /// a briefly-slow reader before the connection is declared dead.
 constexpr std::size_t kMaxOutboxBytes = 4u << 20;
 
-bool read_exact(int fd, std::uint8_t* buffer, std::size_t count) {
-  std::size_t done = 0;
-  while (done < count) {
-    const ssize_t n = ::read(fd, buffer + done, count - done);
-    if (n == 0) return false;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
+/// Initial size of a connection's input buffer: one read() takes up to
+/// this many bytes, hundreds of frames.
+constexpr std::size_t kInputBytes = 64u << 10;
+
+/// How long the listener pauses after accept() fails.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
+
+std::uint32_t load_u32_le(const std::uint8_t* bytes) {
+  return std::uint32_t{bytes[0]} | std::uint32_t{bytes[1]} << 8 |
+         std::uint32_t{bytes[2]} << 16 | std::uint32_t{bytes[3]} << 24;
 }
 
 }  // namespace
@@ -49,7 +49,7 @@ SocketServer::SocketServer(Pcnd* daemon, std::string path)
   sockaddr_un address{};
   PCN_EXPECT(path_.size() < sizeof(address.sun_path),
              "SocketServer: socket path too long");
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   PCN_EXPECT(listen_fd_ >= 0, "SocketServer: cannot create socket");
   ::unlink(path_.c_str());
   address.sun_family = AF_UNIX;
@@ -59,8 +59,27 @@ SocketServer::SocketServer(Pcnd* daemon, std::string path)
       ::listen(listen_fd_, 64) != 0) {
     const std::string what = "SocketServer: cannot listen on '" + path_ +
                              "': " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    close_fds();
+    PCN_EXPECT(false, what.c_str());
+  }
+  // The listener and the wake-up eventfd are told apart from connections
+  // by their tags: the addresses of the members holding their fds.
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_event listen_event{};
+  listen_event.events = EPOLLIN;
+  listen_event.data.ptr = &listen_fd_;
+  epoll_event wake_event{};
+  wake_event.events = EPOLLIN;
+  wake_event.data.ptr = &wake_fd_;
+  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &listen_event) != 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_event) != 0) {
+    const std::string what =
+        std::string("SocketServer: cannot set up epoll: ") +
+        std::strerror(errno);
+    close_fds();
+    ::unlink(path_.c_str());
     PCN_EXPECT(false, what.c_str());
   }
   obs::MetricsRegistry& registry = daemon_->metrics_registry();
@@ -75,35 +94,43 @@ SocketServer::SocketServer(Pcnd* daemon, std::string path)
 
 SocketServer::~SocketServer() {
   stop();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+  close_fds();
   ::unlink(path_.c_str());
 }
 
+void SocketServer::close_fds() {
+  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
 void SocketServer::start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  if (state_ != State::kIdle) return;
+  state_ = State::kRunning;
+  io_thread_ = std::thread([this] { io_loop(); });
 }
 
 void SocketServer::stop() {
-  bool expected = true;
-  if (!running_.compare_exchange_strong(expected, false)) return;
-  // Shut the listener down; accept() returns and the loop exits.
+  if (state_ != State::kRunning) return;
+  state_ = State::kStopped;
+  const std::uint64_t one = 1;
+  while (::write(wake_fd_, &one, sizeof(one)) < 0 && errno == EINTR) {
+  }
+  io_thread_.join();
+  // Refuse clients still connecting; the I/O thread no longer accepts.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
   // Verdicts settled since the last flush would otherwise vanish with
   // the connections: stage them now, then give every outbox a bounded
   // final drain before tearing the socket down.
   flush_outcomes();
-  std::unordered_map<std::uint32_t, std::shared_ptr<Connection>> connections;
+  std::unordered_map<std::uint32_t, std::unique_ptr<Connection>> connections;
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     connections.swap(connections_);
   }
   for (auto& [client, connection] : connections) {
     drain_outbox_bounded(*connection);
-    ::shutdown(connection->fd, SHUT_RDWR);
-    if (connection->reader.joinable()) connection->reader.join();
     ::close(connection->fd);
   }
 }
@@ -129,74 +156,127 @@ std::size_t SocketServer::open_connections() {
   return connections_.size();
 }
 
-void SocketServer::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+void SocketServer::io_loop() {
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
+  const auto watch_listener = [this](std::uint32_t listen_events) {
+    epoll_event event{};
+    event.events = listen_events;
+    event.data.ptr = &listen_fd_;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &event);
+  };
+  bool accept_paused = false;
+  std::chrono::steady_clock::time_point resume_accept{};
+  for (;;) {
+    int timeout_ms = -1;
+    if (accept_paused) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= resume_accept) {
+        watch_listener(EPOLLIN);
+        accept_paused = false;
+      } else {
+        timeout_ms = static_cast<int>(
+            std::chrono::ceil<std::chrono::milliseconds>(resume_accept - now)
+                .count());
+      }
+    }
+    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    if (ready < 0 && errno != EINTR) return;  // epoll fd broken
+    for (int i = 0; i < ready; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == &wake_fd_) return;  // stop()
+      if (tag != &listen_fd_) {
+        read_ready(*static_cast<Connection*>(tag));
+      } else if (!accept_ready()) {
+        // Transient resource pressure (fd table full, aborted handshake,
+        // kernel buffers exhausted).  Stop watching the listener for a
+        // short backoff instead of spinning on it, and keep serving the
+        // open connections meanwhile; under EMFILE the pause also gives
+        // flush_outcomes' reaper a chance to return fds first.
+        watch_listener(0);
+        accept_paused = true;
+        resume_accept = std::chrono::steady_clock::now() + kAcceptBackoff;
+      }
+    }
+  }
+}
+
+bool SocketServer::accept_ready() {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED ||
-          errno == ENOBUFS || errno == ENOMEM || errno == EAGAIN ||
-          errno == EWOULDBLOCK) {
-        // Transient resource pressure (fd table full, aborted handshake,
-        // kernel buffers exhausted).  Exiting here would silently stop
-        // accepting *forever* while the daemon keeps running; instead
-        // count the error and retry after a short backoff.  The backoff
-        // sleeps in 1 ms steps so stop() is never delayed noticeably,
-        // and under EMFILE it also gives reap_connections a chance to
-        // return fds before the retry.
-        accept_errors_.increment();
-        for (int i = 0; i < 10 && running_.load(std::memory_order_acquire);
-             ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        continue;
-      }
-      break;  // listener shut down (or broken beyond repair)
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      accept_errors_.increment();
+      return false;
     }
-    if (!running_.load(std::memory_order_acquire)) {
+    auto connection = std::make_unique<Connection>();
+    connection->fd = fd;
+    connection->input.resize(kInputBytes);
+    epoll_event event{};
+    event.events = EPOLLIN;
+    event.data.ptr = connection.get();
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
+      accept_errors_.increment();
       ::close(fd);
-      break;
+      return false;
     }
     const std::lock_guard<std::mutex> lock(connections_mutex_);
-    const std::uint32_t client = next_client_++;
-    auto connection = std::make_shared<Connection>();
-    connection->fd = fd;
-    // The raw reference stays valid because every path that erases the
-    // registry entry (reap_connections, stop) joins the reader before
-    // releasing its shared_ptr.
-    Connection& ref = *connection;
-    connection->reader = std::thread(
-        [this, client, fd, &ref] { reader_loop(client, fd, ref); });
-    connections_.emplace(client, std::move(connection));
+    connection->client = next_client_++;
+    connections_.emplace(connection->client, std::move(connection));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void SocketServer::reader_loop(std::uint32_t client, int fd,
-                               Connection& connection) {
-  std::uint8_t prefix[4];
-  std::vector<std::uint8_t> frame;
-  while (running_.load(std::memory_order_acquire)) {
-    if (!read_exact(fd, prefix, sizeof(prefix))) break;
-    const std::uint32_t length = std::uint32_t{prefix[0]} |
-                                 std::uint32_t{prefix[1]} << 8 |
-                                 std::uint32_t{prefix[2]} << 16 |
-                                 std::uint32_t{prefix[3]} << 24;
-    if (length == 0 || length > kMaxFrameBytes) {
-      decode_errors_.increment(client);
-      break;  // framing is lost; drop the connection
-    }
-    frame.resize(length);
-    if (!read_exact(fd, frame.data(), length)) break;
-    handle_frame(client, connection, frame);
+void SocketServer::read_ready(Connection& connection) {
+  std::vector<std::uint8_t>& input = connection.input;
+  const ssize_t n = ::read(connection.fd, input.data() + connection.buffered,
+                           input.size() - connection.buffered);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return;  // level-triggered: the next wait reports the fd again
   }
-  // flush_outcomes' reap sweep closes the fd and joins this thread once
-  // any staged verdicts have drained (stop() covers the rest).
-  connection.reader_done.store(true, std::memory_order_release);
+  if (n <= 0) {
+    // Peer closed, read error, or flush_outcomes shut a failed socket
+    // down.  A partial frame in the buffer is dropped unsubmitted.
+    release(connection);
+    return;
+  }
+  const std::size_t end = connection.buffered + static_cast<std::size_t>(n);
+  std::size_t at = 0;
+  while (end - at >= sizeof(std::uint32_t)) {
+    const std::uint32_t length = load_u32_le(input.data() + at);
+    if (length == 0 || length > kMaxFrameBytes) {
+      decode_errors_.increment(connection.client);
+      release(connection);  // framing is lost; drop the connection
+      return;
+    }
+    if (end - at - sizeof(std::uint32_t) < length) break;
+    at += sizeof(std::uint32_t);
+    handle_frame(connection, {input.data() + at, length});
+    at += length;
+  }
+  // Keep the partial tail for the next read, at the front of the buffer,
+  // which grows only when that frame does not fit.
+  connection.buffered = end - at;
+  if (at > 0 && connection.buffered > 0) {
+    std::memmove(input.data(), input.data() + at, connection.buffered);
+  }
+  if (connection.buffered >= sizeof(std::uint32_t)) {
+    const std::size_t needed =
+        sizeof(std::uint32_t) + load_u32_le(input.data());
+    if (needed > input.size()) input.resize(needed);
+  }
 }
 
-void SocketServer::handle_frame(std::uint32_t client, Connection& connection,
-                                const std::vector<std::uint8_t>& frame) {
+void SocketServer::release(Connection& connection) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, connection.fd, nullptr);
+  connection.released.store(true, std::memory_order_release);
+}
+
+void SocketServer::handle_frame(Connection& connection,
+                                std::span<const std::uint8_t> frame) {
+  const std::uint32_t client = connection.client;
   frames_in_.increment(client);
   DaemonRequest request;
   request.client = client;
@@ -243,7 +323,7 @@ void SocketServer::handle_frame(std::uint32_t client, Connection& connection,
 }
 
 bool SocketServer::stage_frame(Connection& connection,
-                               const std::vector<std::uint8_t>& frame) {
+                               std::span<const std::uint8_t> frame) {
   if (connection.outbox.size() + sizeof(std::uint32_t) + frame.size() >
       kMaxOutboxBytes) {
     // The client stopped reading a long time ago; failing the connection
@@ -285,31 +365,25 @@ void SocketServer::pump_outbox(Connection& connection) {
 }
 
 void SocketServer::reap_connections() {
-  std::vector<std::shared_ptr<Connection>> dead;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      Connection& connection = *it->second;
-      bool reap = connection.write_failed.load(std::memory_order_acquire);
-      if (!reap && connection.reader_done.load(std::memory_order_acquire)) {
-        // Reader gone (client hung up or lost framing): keep the
-        // connection only until its staged verdicts have drained.
-        const std::lock_guard<std::mutex> write_lock(connection.write_mutex);
-        reap = connection.outbox.empty();
-      }
-      if (reap) {
-        dead.push_back(std::move(it->second));
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection& connection = *it->second;
+    const bool failed = connection.write_failed.load(std::memory_order_acquire);
+    if (failed && !connection.shut_down) {
+      // The I/O thread's next read of this socket sees EOF and releases it.
+      ::shutdown(connection.fd, SHUT_RDWR);
+      connection.shut_down = true;
     }
-  }
-  for (const std::shared_ptr<Connection>& connection : dead) {
-    ::shutdown(connection->fd, SHUT_RDWR);  // unblock a still-parked reader
-    if (connection->reader.joinable()) connection->reader.join();
-    ::close(connection->fd);
-    disconnects_.increment();
+    // A released connection is this thread's alone, so its outbox needs
+    // no lock.  One whose client hung up (or lost framing) stays until
+    // its staged verdicts have drained.
+    if (connection.released.load(std::memory_order_acquire) &&
+        (failed || connection.outbox.empty())) {
+      ::close(connection.fd);
+      disconnects_.increment();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -317,20 +391,14 @@ std::size_t SocketServer::flush_outcomes() {
   std::vector<PageOutcomeEvent> outcomes;
   daemon_->drain_outcomes(&outcomes);
 
-  // Snapshot the registry, then do all socket work with connections_mutex_
-  // released: a slow or dead client costs at most one bounded outbox and
-  // can never stall the accept loop or the serve slot loop.
-  std::unordered_map<std::uint32_t, std::shared_ptr<Connection>> routes;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    routes = connections_;
-  }
-
+  // The registry lock is held throughout: the I/O thread takes it only
+  // to add an accepted connection, and reads without it.
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
   std::size_t staged = 0;
   for (const PageOutcomeEvent& event : outcomes) {
     if (event.client == 0) continue;  // in-process submitter, no frame
-    const auto it = routes.find(event.client);
-    if (it == routes.end()) continue;  // client went away
+    const auto it = connections_.find(event.client);
+    if (it == connections_.end()) continue;  // client went away
     Connection& connection = *it->second;
     if (connection.write_failed.load(std::memory_order_acquire)) continue;
     proto::PageOutcome outcome;
@@ -352,7 +420,7 @@ std::size_t SocketServer::flush_outcomes() {
   // The pre-pump occupancy sum is the peak backlog for this flush; its
   // high watermark is the daemon.socket.outbox_bytes gauge.
   std::size_t staged_bytes = 0;
-  for (auto& [client, connection] : routes) {
+  for (auto& [client, connection] : connections_) {
     const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
     staged_bytes += connection->outbox.size();
     pump_outbox(*connection);

@@ -151,11 +151,13 @@ bool TimeseriesRecorder::sample(std::int64_t slot,
       }
     }
   }
-  trim_to_max();
+  if (max_samples_ != 0 && data_.slots.size() >= 2 * max_samples_) {
+    trim_to_max();
+  }
   return true;
 }
 
-void TimeseriesRecorder::trim_to_max() {
+void TimeseriesRecorder::trim_to_max() const {
   if (max_samples_ == 0 || data_.slots.size() <= max_samples_) return;
   const std::size_t drop = data_.slots.size() - max_samples_;
   data_.slots.erase(data_.slots.begin(),

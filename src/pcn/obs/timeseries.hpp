@@ -17,6 +17,7 @@
 // RollingWindow delta math and the CUSUM detector below.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -99,16 +100,28 @@ class TimeseriesRecorder {
   /// with overlapping sample triggers stay idempotent.
   bool sample(std::int64_t slot, const MetricsSnapshot& snapshot);
 
-  std::size_t sample_count() const { return data_.sample_count(); }
+  std::size_t sample_count() const {
+    const std::size_t held = data_.sample_count();
+    return max_samples_ == 0 ? held : std::min(held, max_samples_);
+  }
   std::int64_t every_slots() const { return data_.every_slots; }
-  const Timeseries& data() const { return data_; }
+  /// The recording; with a cap, exactly the newest `max_samples` samples.
+  /// Trims in place, so it must not race another call on this recorder.
+  const Timeseries& data() const {
+    trim_to_max();
+    return data_;
+  }
 
  private:
   void fix_dictionary(const MetricsSnapshot& snapshot);
-  void trim_to_max();
+  /// Drops all but the newest `max_samples` samples.  sample() calls it
+  /// only once the columns hold twice the cap, so a capped recording
+  /// costs amortised O(series) per sample; data() calls it before a read.
+  void trim_to_max() const;
 
   std::size_t max_samples_;
-  Timeseries data_;
+  /// Mutable so data() can drop the slack sample() leaves past the cap.
+  mutable Timeseries data_;
 };
 
 // --- Changepoint detection ---------------------------------------------------

@@ -1,19 +1,28 @@
 // The Unix-socket front end: length-prefixed proto frames in, the same
 // DaemonRequest ring as in-process producers, PageOutcome frames routed
 // back to the submitting connection; malformed frames are counted and
-// the connection survives them.
+// the connection survives them.  Hostile clients (frames split anywhere,
+// bad length prefixes, mid-frame disconnects, slow writers) cost only
+// their own connection, and connections start no thread.
 #include "pcn/daemon/socket_server.hpp"
 
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
+#include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +47,13 @@ int connect_client(const std::string& path) {
                       sizeof(address)),
             0)
       << "connect(" << path << "): " << std::strerror(errno);
+  // A frame that never comes, or a server that stops reading, fails the
+  // test instead of hanging it.
+  const timeval timeout{5, 0};
+  for (const int option : {SO_RCVTIMEO, SO_SNDTIMEO}) {
+    EXPECT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, option, &timeout, sizeof(timeout)), 0);
+  }
   return fd;
 }
 
@@ -77,8 +93,8 @@ std::vector<std::uint8_t> recv_frame(int fd) {
   return frame;
 }
 
-/// The reader threads are asynchronous; wait until `counter` reaches
-/// `expected` before advancing the slot loop.
+/// The server's I/O thread reads asynchronously; wait until `counter`
+/// reaches `expected` before advancing the slot loop.
 void await_counter(const Pcnd& daemon, const char* counter,
                    std::int64_t expected) {
   for (int i = 0; i < 5000; ++i) {
@@ -89,6 +105,106 @@ void await_counter(const Pcnd& daemon, const char* counter,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   FAIL() << counter << " never reached " << expected;
+}
+
+std::int64_t counter_value(const Pcnd& daemon, const char* counter) {
+  return daemon.metrics_registry().snapshot().counter_value(counter);
+}
+
+/// The u32 little-endian length prefix.
+std::vector<std::uint8_t> length_prefix(std::uint32_t length) {
+  return {static_cast<std::uint8_t>(length),
+          static_cast<std::uint8_t>(length >> 8),
+          static_cast<std::uint8_t>(length >> 16),
+          static_cast<std::uint8_t>(length >> 24)};
+}
+
+/// `frame` behind its length prefix.
+std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& frame) {
+  std::vector<std::uint8_t> bytes =
+      length_prefix(static_cast<std::uint32_t>(frame.size()));
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  return bytes;
+}
+
+/// A length-prefixed PageSubmit; an unknown terminal's page settles as
+/// kDropped in the next slot.
+std::vector<std::uint8_t> page_bytes(std::uint64_t page_id,
+                                     std::uint64_t terminal_id) {
+  proto::PageSubmit submit;
+  submit.page_id = page_id;
+  submit.terminal_id = terminal_id;
+  return framed(proto::encode(submit));
+}
+
+void write_all(int fd, const std::uint8_t* bytes, std::size_t count) {
+  while (count > 0) {
+    const ssize_t n = ::write(fd, bytes, count);
+    ASSERT_GT(n, 0) << "write: " << std::strerror(errno);
+    bytes += n;
+    count -= static_cast<std::size_t>(n);
+  }
+}
+
+/// Waits until the server has read every byte this client wrote (an
+/// AF_UNIX socket's SIOCOUTQ counts bytes its peer has not consumed), so
+/// the next write arrives in a later read().
+void await_consumed(int fd) {
+  for (int i = 0; i < 5000; ++i) {
+    int unread = 0;
+    ASSERT_EQ(::ioctl(fd, SIOCOUTQ, &unread), 0);
+    if (unread == 0) return;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  FAIL() << "the server never read the bytes written";
+}
+
+/// Runs one slot, flushes, and reads `count` outcomes from `fd`; returns
+/// their page ids, sorted.
+std::vector<std::uint64_t> settle_pages(Pcnd& daemon, SocketServer& server,
+                                        int fd, std::size_t count) {
+  daemon.run_slots(1);
+  EXPECT_EQ(server.flush_outcomes(), count);
+  std::vector<std::uint64_t> page_ids;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::vector<std::uint8_t> frame = recv_frame(fd);
+    if (frame.empty()) break;
+    page_ids.push_back(proto::decode_page_outcome(frame).page_id);
+  }
+  std::sort(page_ids.begin(), page_ids.end());
+  return page_ids;
+}
+
+std::vector<std::uint64_t> ids_from(std::uint64_t first, std::uint64_t last) {
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = first; id <= last; ++id) ids.push_back(id);
+  return ids;
+}
+
+/// Flushes until only `open` connections remain registered.
+void await_reaped(SocketServer& server, std::size_t open) {
+  for (int i = 0; i < 5000 && server.open_connections() > open; ++i) {
+    server.flush_outcomes();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.open_connections(), open);
+}
+
+/// The thread ids listed in /proc/self/task (empty when it is absent).
+std::set<std::string> task_ids() {
+  std::set<std::string> ids;
+  std::error_code error;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task", error)) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+PcndConfig socket_config() {
+  PcndConfig config;
+  config.collect_outcomes = true;
+  return config;
 }
 
 TEST(SocketServer, RequiresOutcomeCollection) {
@@ -188,7 +304,7 @@ TEST(SocketServer, DisconnectedClientIsReapedAndCannotKillTheDaemon) {
   // Submit a page, then disconnect before the verdict flushes.  The
   // flush used to raise SIGPIPE on the peer-closed socket (killing the
   // process); now the send fails with EPIPE and the connection is
-  // reaped: fd closed, reader joined, registry entry gone.
+  // reaped: out of the epoll set, fd closed, registry entry gone.
   const int fd = connect_client(server.path());
   proto::PageSubmit submit;
   submit.page_id = 5;
@@ -296,7 +412,7 @@ TEST(SocketServer, RingFullPageIsAnsweredWithRejectedOutcome) {
   }
   await_counter(daemon, "daemon.socket.rejected_ring_full", 2);
 
-  // The rejections are pumped from the reader thread immediately, before
+  // The rejections are pumped from the I/O thread immediately, before
   // any slot runs.
   for (const std::uint64_t page_id : {std::uint64_t{3}, std::uint64_t{4}}) {
     const std::vector<std::uint8_t> frame = recv_frame(fd);
@@ -347,7 +463,7 @@ TEST(SocketServer, AcceptLoopSurvivesFdExhaustionAndRecovers) {
   }
 
   // The connection parks in the listen backlog; accept() fails with
-  // EMFILE.  The old accept loop exited permanently here.
+  // EMFILE.  The listener pauses and retries instead of giving up.
   sockaddr_un address{};
   address.sun_family = AF_UNIX;
   const std::string path = server.path();
@@ -418,6 +534,255 @@ TEST(SocketServer, StopDeliversSettledVerdictsBeforeClosing) {
   EXPECT_EQ(outcome.terminal_id, 3u);
   EXPECT_EQ(outcome.outcome, proto::PageOutcomeKind::kServed);
   ::close(fd);
+}
+
+TEST(SocketServer, TwoFramesSplitAtEveryByteOffsetAreDecodedOnce) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_split.sock"));
+  server.start();
+  const int fd = connect_client(server.path());
+
+  // Page ids stay below 128 and terminal ids in [1000, 16384), so every
+  // pair of frames has the same length and one split covers every offset.
+  const std::size_t pair_bytes =
+      page_bytes(1, 1001).size() + page_bytes(2, 1002).size();
+  std::uint64_t page_id = 0;
+  for (std::size_t split = 1; split < pair_bytes; ++split) {
+    std::vector<std::uint8_t> bytes = page_bytes(page_id + 1, 1001 + page_id);
+    const std::vector<std::uint8_t> second =
+        page_bytes(page_id + 2, 1002 + page_id);
+    bytes.insert(bytes.end(), second.begin(), second.end());
+    page_id += 2;
+    ASSERT_EQ(bytes.size(), pair_bytes);
+    ASSERT_NO_FATAL_FAILURE(write_all(fd, bytes.data(), split));
+    ASSERT_NO_FATAL_FAILURE(await_consumed(fd));
+    ASSERT_NO_FATAL_FAILURE(
+        write_all(fd, bytes.data() + split, bytes.size() - split));
+    ASSERT_NO_FATAL_FAILURE(await_counter(
+        daemon, "daemon.socket.frames_in", static_cast<std::int64_t>(page_id)))
+        << "split at byte " << split;
+  }
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.frames_in"),
+            static_cast<std::int64_t>(page_id));
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.decode_errors"), 0);
+  EXPECT_EQ(settle_pages(daemon, server, fd, page_id), ids_from(1, page_id));
+
+  ::close(fd);
+  server.stop();
+}
+
+TEST(SocketServer, OneBytePerWriteStreamDecodesEachFrameOnce) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_byte_stream.sock"));
+  server.start();
+  const int fd = connect_client(server.path());
+
+  constexpr std::uint64_t kPages = 8;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t page_id = 1; page_id <= kPages; ++page_id) {
+    const std::vector<std::uint8_t> frame = page_bytes(page_id, 500 + page_id);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  for (const std::uint8_t byte : bytes) {
+    ASSERT_NO_FATAL_FAILURE(write_all(fd, &byte, 1));
+    ASSERT_NO_FATAL_FAILURE(await_consumed(fd));
+  }
+  await_counter(daemon, "daemon.socket.frames_in", kPages);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.frames_in"),
+            static_cast<std::int64_t>(kPages));
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.decode_errors"), 0);
+  EXPECT_EQ(settle_pages(daemon, server, fd, kPages), ids_from(1, kPages));
+
+  ::close(fd);
+  server.stop();
+}
+
+TEST(SocketServer, HundredFramesInOneWriteAreEachDecoded) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_burst.sock"));
+  server.start();
+  const int fd = connect_client(server.path());
+
+  constexpr std::uint64_t kPages = 100;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t page_id = 1; page_id <= kPages; ++page_id) {
+    const std::vector<std::uint8_t> frame = page_bytes(page_id, 2000 + page_id);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  await_counter(daemon, "daemon.socket.frames_in", kPages);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.frames_in"),
+            static_cast<std::int64_t>(kPages));
+  EXPECT_EQ(settle_pages(daemon, server, fd, kPages), ids_from(1, kPages));
+
+  ::close(fd);
+  server.stop();
+}
+
+TEST(SocketServer, BadLengthPrefixDropsOnlyThatConnection) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_bad_length.sock"));
+  server.start();
+  const int good = connect_client(server.path());
+  std::uint64_t page_id = 0;
+  const auto expect_served = [&] {
+    ++page_id;
+    const std::vector<std::uint8_t> bytes = page_bytes(page_id, 3000 + page_id);
+    write_all(good, bytes.data(), bytes.size());
+    await_counter(daemon, "daemon.socket.frames_in",
+                  static_cast<std::int64_t>(page_id));
+    EXPECT_EQ(settle_pages(daemon, server, good, 1),
+              std::vector<std::uint64_t>{page_id});
+  };
+  expect_served();
+
+  std::int64_t errors = 0;
+  for (const std::uint32_t length : {0u, (1u << 20) + 1}) {
+    SCOPED_TRACE(length);
+    const int bad = connect_client(server.path());
+    const std::vector<std::uint8_t> prefix = length_prefix(length);
+    write_all(bad, prefix.data(), prefix.size());
+    await_counter(daemon, "daemon.socket.decode_errors", ++errors);
+    // The connection is dropped: reaped, and its client reads EOF.
+    await_reaped(server, 1);
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::read(bad, &byte, 1), 0);
+    ::close(bad);
+    expect_served();
+  }
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.decode_errors"), errors);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.disconnects"), 2);
+
+  ::close(good);
+  server.stop();
+}
+
+TEST(SocketServer, FrameAtTheSizeLimitIsReadWholeAndTheConnectionSurvives) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_max_frame.sock"));
+  server.start();
+  const int fd = connect_client(server.path());
+
+  // 1 MiB of zeros is well framed but no proto message: one decode error,
+  // read through a buffer that grows past its 64 KiB.
+  const std::vector<std::uint8_t> big =
+      framed(std::vector<std::uint8_t>(std::size_t{1} << 20, 0));
+  write_all(fd, big.data(), big.size());
+  await_counter(daemon, "daemon.socket.decode_errors", 1);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.frames_in"), 1);
+
+  const std::vector<std::uint8_t> bytes = page_bytes(7, 4007);
+  write_all(fd, bytes.data(), bytes.size());
+  await_counter(daemon, "daemon.socket.frames_in", 2);
+  EXPECT_EQ(settle_pages(daemon, server, fd, 1), std::vector<std::uint64_t>{7});
+  EXPECT_EQ(server.open_connections(), 1u);
+
+  ::close(fd);
+  server.stop();
+}
+
+TEST(SocketServer, MidFrameDisconnectSubmitsNothingAndIsReaped) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_mid_frame.sock"));
+  server.start();
+  const int fd = connect_client(server.path());
+
+  const std::vector<std::uint8_t> bytes = page_bytes(9, 9);
+  write_all(fd, bytes.data(), bytes.size() - 3);
+  await_consumed(fd);
+  ::close(fd);
+
+  await_reaped(server, 0);
+  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.disconnects"), 1);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.frames_in"), 0);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.decode_errors"), 0);
+  daemon.run_slots(1);
+  std::vector<PageOutcomeEvent> outcomes;
+  daemon.drain_outcomes(&outcomes);
+  EXPECT_TRUE(outcomes.empty());
+  server.stop();
+}
+
+TEST(SocketServer, SlowWriterDoesNotDelayAnotherClient) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_slowloris.sock"));
+  server.start();
+  const int slow = connect_client(server.path());
+  const int fast = connect_client(server.path());
+
+  // The slow client trickles 24 frames at one byte per millisecond, so it
+  // is mid-frame for at least a third of a second.
+  constexpr std::uint64_t kSlowPages = 24;
+  std::vector<std::uint8_t> trickle;
+  for (std::uint64_t page_id = 1; page_id <= kSlowPages; ++page_id) {
+    const std::vector<std::uint8_t> frame = page_bytes(page_id, 5000 + page_id);
+    trickle.insert(trickle.end(), frame.begin(), frame.end());
+  }
+  std::atomic<bool> slow_done{false};
+  std::thread writer([&] {
+    for (const std::uint8_t byte : trickle) {
+      if (::write(slow, &byte, 1) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    slow_done.store(true);
+  });
+  await_counter(daemon, "daemon.socket.frames_in", 1);
+
+  const std::vector<std::uint8_t> bytes = page_bytes(1000, 6000);
+  write_all(fast, bytes.data(), bytes.size());
+  pollfd readable{fast, POLLIN, 0};
+  for (int i = 0; i < 1000 && ::poll(&readable, 1, 0) == 0; ++i) {
+    daemon.run_slots(1);
+    server.flush_outcomes();
+    ::poll(&readable, 1, 1);
+  }
+  const bool slow_was_done = slow_done.load();
+  const std::vector<std::uint8_t> frame = recv_frame(fast);
+  ASSERT_FALSE(frame.empty());
+  EXPECT_EQ(proto::decode_page_outcome(frame).page_id, 1000u);
+  EXPECT_FALSE(slow_was_done) << "the fast client waited for the slow one";
+
+  writer.join();
+  await_counter(daemon, "daemon.socket.frames_in", kSlowPages + 1);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.decode_errors"), 0);
+  ::close(slow);
+  ::close(fast);
+  server.stop();
+}
+
+TEST(SocketServer, ConnectionsStartNoThreads) {
+  if (!std::filesystem::is_directory("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_no_threads.sock"));
+  server.start();
+  const std::set<std::string> before = task_ids();
+
+  constexpr int kClients = 16;
+  std::vector<int> fds;
+  for (int i = 0; i < kClients; ++i) {
+    fds.push_back(connect_client(server.path()));
+    const std::vector<std::uint8_t> bytes =
+        page_bytes(static_cast<std::uint64_t>(i + 1), 7000 + i);
+    write_all(fds.back(), bytes.data(), bytes.size());
+  }
+  await_counter(daemon, "daemon.socket.frames_in", kClients);
+  daemon.run_slots(1);
+  EXPECT_EQ(server.flush_outcomes(), static_cast<std::size_t>(kClients));
+  for (int i = 0; i < kClients; ++i) {
+    const std::vector<std::uint8_t> frame = recv_frame(fds[i]);
+    ASSERT_FALSE(frame.empty());
+    EXPECT_EQ(proto::decode_page_outcome(frame).page_id,
+              static_cast<std::uint64_t>(i + 1));
+  }
+  EXPECT_EQ(server.connections_accepted(), static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(task_ids(), before) << "a connection started or ended a thread";
+
+  for (const int fd : fds) ::close(fd);
+  server.stop();
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // slot loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -102,6 +103,63 @@ TEST(TimeseriesRecorder, MaxSamplesKeepsNewestRing) {
   EXPECT_EQ(recorder.data().slots, (std::vector<std::int64_t>{7, 8, 9}));
   EXPECT_EQ(recorder.data().find("ticks")->values,
             (std::vector<std::int64_t>{8, 9, 10}));
+}
+
+/// `all` cut to its newest `cap` samples, column by column.
+Timeseries keep_newest(Timeseries all, std::size_t cap) {
+  if (all.slots.size() <= cap) return all;
+  const auto drop = static_cast<std::ptrdiff_t>(all.slots.size() - cap);
+  const auto cut = [drop](auto& column) {
+    if (!column.empty()) column.erase(column.begin(), column.begin() + drop);
+  };
+  cut(all.slots);
+  for (Timeseries::Series& series : all.series) {
+    cut(series.values);
+    cut(series.dvalues);
+    cut(series.counts);
+    for (std::vector<std::int64_t>& column : series.bucket_columns) {
+      cut(column);
+    }
+  }
+  return all;
+}
+
+TEST(TimeseriesRecorder, CappedEncodingEqualsKeepNewestAtEveryLength) {
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    MetricsRegistry registry;
+    Counter pages = registry.counter("pages");
+    Gauge depth = registry.gauge("depth");
+    Histogram delay = registry.histogram("delay", {1.0, 2.0, 4.0});
+    std::vector<MetricsSnapshot> snapshots;
+    for (std::int64_t slot = 0; slot < static_cast<std::int64_t>(5 * cap);
+         ++slot) {
+      pages.add(slot % 5 + 1);
+      depth.set(slot % 7);
+      delay.observe(double(slot % 6) * 0.9);
+      snapshots.push_back(registry.snapshot());
+    }
+    // `stepped` is read after every sample; a fresh `once` per length is
+    // read only at the end, holding up to twice the cap before that.
+    TimeseriesRecorder all(/*every_slots=*/1);
+    TimeseriesRecorder stepped(/*every_slots=*/1, cap);
+    for (std::size_t n = 1; n <= snapshots.size(); ++n) {
+      SCOPED_TRACE(testing::Message() << "cap " << cap << ", " << n
+                                      << " samples");
+      const auto slot = static_cast<std::int64_t>(n - 1);
+      all.sample(slot, snapshots[n - 1]);
+      stepped.sample(slot, snapshots[n - 1]);
+      TimeseriesRecorder once(/*every_slots=*/1, cap);
+      for (std::size_t i = 0; i < n; ++i) {
+        once.sample(static_cast<std::int64_t>(i), snapshots[i]);
+      }
+      const std::vector<std::uint8_t> expected =
+          encode_timeseries(keep_newest(all.data(), cap));
+      EXPECT_EQ(once.sample_count(), std::min(n, cap));
+      EXPECT_EQ(encode_timeseries(once.data()), expected);
+      EXPECT_EQ(stepped.sample_count(), std::min(n, cap));
+      EXPECT_EQ(encode_timeseries(stepped.data()), expected);
+    }
+  }
 }
 
 Timeseries sample_timeline() {

@@ -5,14 +5,17 @@
 #   2. TSan build     — the sharded-simulator determinism suite, the
 #      lock-free metrics-registry concurrency suite, the
 #      admin-introspection snapshot-under-fire suite (scrapes racing the
-#      4-thread slot loop), and the ShardPool fork-join suite (with the
-#      thread-reuse pins of Network and pcnd),
+#      4-thread slot loop), the ShardPool fork-join suite (with the
+#      thread-reuse pins of Network and pcnd), and the socket front end's
+#      suite (its I/O thread against the slot loop, hostile clients),
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
 #      the terminal-DB hostile-id and property suites (ids near 2^64,
 #      2^32 strides, one shard residue must stay in bounds), and the
 #      paging-queue unit, property and hostile-cell suites (the entry
 #      slab's index and free-list arithmetic, the cell index's probing),
+#      and the socket front end's suite (split, oversized and truncated
+#      frames through the connection input buffers),
 #   4. overhead probe — bench/perf_scale's paired-block estimator (median
 #      over alternating same-work block pairs, in process CPU time) must
 #      hold every timing claim: simulator telemetry and flight recorder
@@ -84,21 +87,23 @@ echo "== [2/13] TSan: sharded-run determinism + metrics registry =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target test_network_parallel test_metrics_registry \
-  test_admin_introspection test_shard_pool
+  test_admin_introspection test_shard_pool test_daemon_socket
 # The admin-introspection suite reuses the soak scale knobs; TSan's
 # slowdown wants the smoke scenario.
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   ctest --test-dir build-tsan \
-  -R 'NetworkParallel|MetricsRegistry|AdminIntrospection|ShardPool|ThreadReuse' \
+  -R 'NetworkParallel|MetricsRegistry|AdminIntrospection|ShardPool|ThreadReuse|SocketServer' \
   --output-on-failure -j "$jobs"
 
 echo "== [3/13] ASan+UBSan: wire codec round-trips + terminal DB + queues =="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target test_wire test_messages test_wire_fuzz test_daemon \
-  test_prop_terminal_table test_paging_queue test_prop_paging_queue
+  test_prop_terminal_table test_paging_queue test_prop_paging_queue \
+  test_daemon_socket
 asan_tests='Wire|Messages|PropWireFuzz|Pcnd\.TerminalDb|PropTerminalTable'
 asan_tests+='|Pcnd\.QueuesServeHostileCells|BoundedPagingQueue|PropPagingQueue'
+asan_tests+='|SocketServer'
 ctest --test-dir build-asan -R "$asan_tests" --output-on-failure -j "$jobs"
 
 echo "== [4/13] overhead probe: paired-block medians within bounds =="
