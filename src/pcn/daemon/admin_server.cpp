@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "pcn/common/error.hpp"
+#include "pcn/daemon/daemon_report.hpp"
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/report.hpp"
 #include "pcn/obs/timer.hpp"
@@ -87,17 +88,7 @@ void write_window(obs::JsonWriter& json, const obs::RollingWindow& window,
   json.member("served_per_sec", rate_of("daemon.page.served"));
   json.member("dropped_per_sec", rate_of("daemon.page.dropped"));
   json.member("expired_per_sec", rate_of("daemon.page.expired"));
-  const std::int64_t dropped = delta_of("daemon.page.dropped");
-  const std::int64_t unknown = delta_of("daemon.page.unknown_terminal");
-  const std::int64_t offered = delta_of("daemon.page.queued") +
-                               delta_of("daemon.page.duplicate") + dropped +
-                               unknown;
-  const std::int64_t failed =
-      dropped + delta_of("daemon.page.expired") + unknown;
-  json.member("drop_rate", offered > 0
-                               ? static_cast<double>(failed) /
-                                     static_cast<double>(offered)
-                               : 0.0);
+  json.member("drop_rate", drop_rate(delta_of));
   const auto delay =
       window.quantiles("daemon.page.queue_delay_slots", window_ns);
   json.key("delay").begin_object();

@@ -107,7 +107,7 @@ void RequestSink::update(const proto::LocationUpdate& update) {
 void RequestSink::page(std::uint64_t page_id, std::uint64_t terminal_id) {
   daemon_->requests_page_.add(1, static_cast<std::size_t>(shard_));
   daemon_->apply_page(shard_, slot_, page_id, terminal_id, /*client=*/0,
-                      workload_, &tracker_);
+                      workload_, tracker_);
 }
 
 Pcnd::Pcnd(const PcndConfig& config)
@@ -270,20 +270,11 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
   if (state == nullptr) {
     // No center cell on file: the page has nowhere to go.  Verdict now,
     // in the apply phase, owned by the terminal shard's worker.
-    pages_unknown_.add(1, static_cast<std::size_t>(shard));
-    sla_violations_.add(1, static_cast<std::size_t>(shard));
-    record_page_event(shard, obs::FlightEventType::kPageDropped, slot,
-                      terminal_id, page_id, /*seq=*/2 + run, /*cycle=*/-1,
-                      /*cells=*/0, /*distance=*/-1, /*found=*/false);
-    if (config_.collect_outcomes) {
-      apply_outcomes_[static_cast<std::size_t>(shard)].push_back(
-          {page_id, terminal_id, proto::PageOutcomeKind::kDropped,
-           /*queue_delay_slots=*/0, /*queue_depth=*/0, slot, client});
-    }
-    if (workload != nullptr) {
-      workload->on_outcome(terminal_id, proto::PageOutcomeKind::kDropped,
-                           slot);
-    }
+    settle(pages_unknown_, shard,
+           {page_id, terminal_id, proto::PageOutcomeKind::kDropped,
+            /*queue_delay_slots=*/0, /*queue_depth=*/0, slot, client},
+           {/*seq=*/2 + run, /*cycle=*/-1, /*cells=*/0, /*distance=*/-1},
+           apply_outcomes_[static_cast<std::size_t>(shard)], workload);
     return;
   }
   const int qs = queue_shard_of(state->center);
@@ -294,6 +285,8 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
 void Pcnd::apply_phase(int worker, int worker_count, std::int64_t slot,
                        SlotWorkload* workload) {
   for (int ts = worker; ts < config_.terminal_shards; ts += worker_count) {
+    // One tracker for the shard's ring pages and its generated pages, so
+    // a terminal paged from both in one slot gets distinct seq values.
     detail::SeqTracker tracker;
     for (const std::size_t index :
          shard_batch_[static_cast<std::size_t>(ts)]) {
@@ -306,7 +299,7 @@ void Pcnd::apply_phase(int worker, int worker_count, std::int64_t slot,
       }
     }
     if (workload != nullptr) {
-      RequestSink sink(this, ts, slot, workload);
+      RequestSink sink(this, ts, slot, workload, &tracker);
       workload->generate(ts, config_.terminal_shards, slot, sink);
     }
   }
@@ -372,24 +365,14 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
           // admitted page's own queued event.  distance=-2 marks an
           // eviction drop apart from a tail drop's -1.
           const std::int64_t age = slot - evicted.enqueued_slot;
-          pages_evicted_.add(1, shard_index);
-          sla_violations_.add(1, shard_index);
-          record_page_event(qs, obs::FlightEventType::kPageDropped, slot,
-                            evicted.terminal_id, evicted.page_id,
-                            /*seq=*/3, static_cast<std::int32_t>(age),
-                            /*cells=*/max_pending, /*distance=*/-2,
-                            /*found=*/false);
-          if (config_.collect_outcomes) {
-            shard.outcomes.push_back(
-                {evicted.page_id, evicted.terminal_id,
-                 proto::PageOutcomeKind::kDropped, age,
-                 static_cast<std::uint32_t>(queue.size()), slot,
-                 evicted.client});
-          }
-          if (workload != nullptr) {
-            workload->on_outcome(evicted.terminal_id,
-                                 proto::PageOutcomeKind::kDropped, slot);
-          }
+          settle(pages_evicted_, qs,
+                 {evicted.page_id, evicted.terminal_id,
+                  proto::PageOutcomeKind::kDropped, age,
+                  static_cast<std::uint32_t>(queue.size()), slot,
+                  evicted.client},
+                 {/*seq=*/3, static_cast<std::int32_t>(age),
+                  /*cells=*/max_pending, /*distance=*/-2},
+                 shard.outcomes, workload);
         }
         switch (admit) {
           case EnqueueResult::kEvicted:  // the incoming page was admitted
@@ -400,11 +383,11 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
             shard.max_depth = std::max(shard.max_depth, depth);
             record_page_event(
                 qs, obs::FlightEventType::kPageQueued, slot,
-                intent.terminal_id, intent.page_id, /*seq=*/1, /*cycle=*/-1,
-                /*cells=*/depth,
-                /*distance=*/static_cast<std::int64_t>(
-                    intent.terminal_id %
-                    static_cast<std::uint64_t>(config_.queue.groups)),
+                intent.terminal_id, intent.page_id,
+                {/*seq=*/1, /*cycle=*/-1, /*cells=*/depth,
+                 /*distance=*/static_cast<std::int64_t>(
+                     intent.terminal_id %
+                     static_cast<std::uint64_t>(config_.queue.groups))},
                 /*found=*/false);
             break;
           }
@@ -414,27 +397,16 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
             // one too.
             pages_duplicate_.add(1, shard_index);
             break;
-          case EnqueueResult::kFull: {
-            pages_dropped_.add(1, shard_index);
-            sla_violations_.add(1, shard_index);
-            record_page_event(qs, obs::FlightEventType::kPageDropped, slot,
-                              intent.terminal_id, intent.page_id,
-                              /*seq=*/2 + run, /*cycle=*/-1,
-                              /*cells=*/max_pending, /*distance=*/-1,
-                              /*found=*/false);
-            if (config_.collect_outcomes) {
-              shard.outcomes.push_back(
-                  {intent.page_id, intent.terminal_id,
-                   proto::PageOutcomeKind::kDropped, /*queue_delay_slots=*/0,
-                   static_cast<std::uint32_t>(queue.size()), slot,
-                   intent.client});
-            }
-            if (workload != nullptr) {
-              workload->on_outcome(intent.terminal_id,
-                                   proto::PageOutcomeKind::kDropped, slot);
-            }
+          case EnqueueResult::kFull:
+            settle(pages_dropped_, qs,
+                   {intent.page_id, intent.terminal_id,
+                    proto::PageOutcomeKind::kDropped, /*queue_delay_slots=*/0,
+                    static_cast<std::uint32_t>(queue.size()), slot,
+                    intent.client},
+                   {/*seq=*/2 + run, /*cycle=*/-1, /*cells=*/max_pending,
+                    /*distance=*/-1},
+                   shard.outcomes, workload);
             break;
-          }
         }
       }
       if (queue.empty()) continue;
@@ -446,48 +418,27 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
       for (const ServedPage& served : shard.served_scratch) {
         const std::int64_t delay = slot - served.page.enqueued_slot;
         cell_delay_sum += delay;
-        pages_served_.add(1, shard_index);
         shard.delay_tally.add(delay);
-        if (config_.sla_delay_slots > 0 &&
-            delay > config_.sla_delay_slots) {
-          sla_violations_.add(1, shard_index);
-        }
-        record_page_event(qs, obs::FlightEventType::kPageServed, slot,
-                          served.page.terminal_id, served.page.page_id,
-                          /*seq=*/4, static_cast<std::int32_t>(delay),
-                          static_cast<std::int64_t>(served.depth_before),
-                          /*distance=*/-1, /*found=*/true);
-        if (config_.collect_outcomes) {
-          shard.outcomes.push_back(
-              {served.page.page_id, served.page.terminal_id,
-               proto::PageOutcomeKind::kServed, delay,
-               static_cast<std::uint32_t>(served.depth_before), slot,
-               served.page.client});
-        }
-        if (workload != nullptr) {
-          workload->on_outcome(served.page.terminal_id,
-                               proto::PageOutcomeKind::kServed, slot);
-        }
+        settle(pages_served_, qs,
+               {served.page.page_id, served.page.terminal_id,
+                proto::PageOutcomeKind::kServed, delay,
+                static_cast<std::uint32_t>(served.depth_before), slot,
+                served.page.client},
+               {/*seq=*/4, static_cast<std::int32_t>(delay),
+                static_cast<std::int64_t>(served.depth_before),
+                /*distance=*/-1},
+               shard.outcomes, workload);
       }
       for (const PendingPage& expired : shard.expired_scratch) {
         const std::int64_t age = slot - expired.enqueued_slot;
-        pages_expired_.add(1, shard_index);
-        sla_violations_.add(1, shard_index);
-        record_page_event(qs, obs::FlightEventType::kPageExpired, slot,
-                          expired.terminal_id, expired.page_id, /*seq=*/4,
-                          static_cast<std::int32_t>(age), /*cells=*/0,
-                          /*distance=*/-1, /*found=*/false);
-        if (config_.collect_outcomes) {
-          shard.outcomes.push_back(
-              {expired.page_id, expired.terminal_id,
-               proto::PageOutcomeKind::kExpired, age,
-               static_cast<std::uint32_t>(queue.size()), slot,
-               expired.client});
-        }
-        if (workload != nullptr) {
-          workload->on_outcome(expired.terminal_id,
-                               proto::PageOutcomeKind::kExpired, slot);
-        }
+        settle(pages_expired_, qs,
+               {expired.page_id, expired.terminal_id,
+                proto::PageOutcomeKind::kExpired, age,
+                static_cast<std::uint32_t>(queue.size()), slot,
+                expired.client},
+               {/*seq=*/4, static_cast<std::int32_t>(age), /*cells=*/0,
+                /*distance=*/-1},
+               shard.outcomes, workload);
       }
       if (planner_ != nullptr && !shard.served_scratch.empty()) {
         // Staged for the serial FINALIZE fold; the planner's aggregate
@@ -613,21 +564,44 @@ std::string Pcnd::timeseries_encoded() const {
   return obs::encode_timeseries_string(timeseries_->data());
 }
 
+void Pcnd::settle(obs::Counter& verdict, int shard,
+                  const PageOutcomeEvent& outcome, const FlightFields& flight,
+                  std::vector<PageOutcomeEvent>& outcomes,
+                  SlotWorkload* workload) {
+  const auto cell = static_cast<std::size_t>(shard);
+  const bool served = outcome.kind == proto::PageOutcomeKind::kServed;
+  verdict.add(1, cell);
+  if (!served || (config_.sla_delay_slots > 0 &&
+                  outcome.queue_delay_slots > config_.sla_delay_slots)) {
+    sla_violations_.add(1, cell);
+  }
+  const obs::FlightEventType type =
+      served ? obs::FlightEventType::kPageServed
+      : outcome.kind == proto::PageOutcomeKind::kExpired
+          ? obs::FlightEventType::kPageExpired
+          : obs::FlightEventType::kPageDropped;
+  record_page_event(shard, type, outcome.slot, outcome.terminal_id,
+                    outcome.page_id, flight, /*found=*/served);
+  if (config_.collect_outcomes) outcomes.push_back(outcome);
+  if (workload != nullptr) {
+    workload->on_outcome(outcome.terminal_id, outcome.kind, outcome.slot);
+  }
+}
+
 void Pcnd::record_page_event(int recorder_shard, obs::FlightEventType type,
                              std::int64_t slot, std::uint64_t terminal_id,
-                             std::uint64_t page_id, std::uint32_t seq,
-                             std::int32_t cycle, std::int64_t cells,
-                             std::int64_t distance, bool found) {
+                             std::uint64_t page_id, const FlightFields& flight,
+                             bool found) {
   if (recorder_ == nullptr || !recorder_->sampled(page_id)) return;
   obs::FlightEvent event;
   event.slot = slot;
   event.terminal = static_cast<std::int64_t>(terminal_id);
-  event.seq = seq;
+  event.seq = flight.seq;
   event.type = type;
   event.call = page_id;
-  event.cycle = cycle;
-  event.cells = cells;
-  event.distance = distance;
+  event.cycle = flight.cycle;
+  event.cells = flight.cells;
+  event.distance = flight.distance;
   event.found = found;
   recorder_->shard(static_cast<std::size_t>(recorder_shard)).append(event);
 }

@@ -184,13 +184,14 @@ class RequestSink {
  private:
   friend class Pcnd;
   RequestSink(Pcnd* daemon, int shard, std::int64_t slot,
-              SlotWorkload* workload)
-      : daemon_(daemon), shard_(shard), slot_(slot), workload_(workload) {}
+              SlotWorkload* workload, detail::SeqTracker* tracker)
+      : daemon_(daemon), shard_(shard), slot_(slot), workload_(workload),
+        tracker_(tracker) {}
   Pcnd* daemon_;
   int shard_;  ///< terminal shard this sink feeds
   std::int64_t slot_;
   SlotWorkload* workload_;
-  detail::SeqTracker tracker_;
+  detail::SeqTracker* tracker_;  ///< the shard's APPLY tracker, shared
 };
 
 /// A closed-loop traffic source driven from inside the slot loop.
@@ -375,11 +376,27 @@ class Pcnd {
                   std::uint64_t terminal_id, std::uint32_t client,
                   SlotWorkload* workload, detail::SeqTracker* tracker);
 
+  /// The flight-event fields that each page-event site supplies.
+  struct FlightFields {
+    std::uint32_t seq = 0;
+    std::int32_t cycle = -1;
+    std::int64_t cells = 0;
+    std::int64_t distance = -1;
+  };
+
+  /// The one path every page verdict takes: adds `verdict` (its counter),
+  /// and daemon.page.sla_violation for a failure or a late serve; records
+  /// the sampled flight event, typed by outcome.kind, on shard `shard`;
+  /// keeps `outcome` in `outcomes` if collect_outcomes; tells `workload`.
+  void settle(obs::Counter& verdict, int shard,
+              const PageOutcomeEvent& outcome, const FlightFields& flight,
+              std::vector<PageOutcomeEvent>& outcomes,
+              SlotWorkload* workload);
+
   void record_page_event(int recorder_shard, obs::FlightEventType type,
                          std::int64_t slot, std::uint64_t terminal_id,
-                         std::uint64_t page_id, std::uint32_t seq,
-                         std::int32_t cycle, std::int64_t cells,
-                         std::int64_t distance, bool found);
+                         std::uint64_t page_id, const FlightFields& flight,
+                         bool found);
 
   PcndConfig config_;
   RequestRing ring_;

@@ -42,15 +42,11 @@ DaemonRunReport make_daemon_report(const Pcnd& daemon, std::uint64_t seed,
   report.pages_expired = m.counter_value("daemon.page.expired");
   report.pages_unknown = m.counter_value("daemon.page.unknown_terminal");
   report.sla_violations = m.counter_value("daemon.page.sla_violation");
-  // Evicted pages were counted `queued` when admitted, so they are
-  // already inside `offered`; they join the failure numerator only.
-  report.pages_offered = report.pages_queued + report.pages_duplicate +
-                         report.pages_dropped + report.pages_unknown;
-  if (report.pages_offered > 0) {
-    report.drop_rate = double(report.pages_dropped + report.pages_evicted +
-                              report.pages_expired + report.pages_unknown) /
-                       double(report.pages_offered);
-  }
+  const auto total = [&m](std::string_view name) {
+    return m.counter_value(name);
+  };
+  report.pages_offered = sum_counters(kOfferedPageCounters, total);
+  report.drop_rate = drop_rate(total);
   report.max_queue_depth = daemon.max_queue_depth();
 
   report.queue_delay_slots = daemon.delay_histogram();

@@ -4,15 +4,14 @@
 //
 // The daemon-specific sections:
 //   * `pages` — offered / queued / duplicate / served / dropped /
-//     expired / unknown_terminal counts, and `drop_rate` = the fraction
-//     of offered pages that never reached the paging channel
-//     ((dropped + evicted + expired + unknown) / offered) — the overload
-//     headline; `evicted` counts pages an admission policy displaced
-//     after they had been queued;
+//     evicted / expired / unknown_terminal counts, and `drop_rate` =
+//     failed / offered (the accounting below) — the overload headline;
+//     `evicted` counts pages an admission policy displaced after they
+//     had been queued;
 //   * `queue_delay_slots` — exact per-slot delay distribution of served
 //     pages with mean/p50/p95/p99/max (percentiles over served pages);
-//   * `sla` — the configured delay bound and total violations (served
-//     late + dropped + expired + unknown);
+//   * `sla` — the configured delay bound and total violations (every
+//     failed page, plus pages served later than the bound);
 //   * `queue` — config echo plus the deepest queue ever observed;
 //   * `socket` — front-end health (frames in/out, decode errors,
 //     ring-full rejections, disconnects, staged-outbox high watermark);
@@ -21,13 +20,47 @@
 //     daemon.phase.* histograms (0 until a slot has run).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pcn/daemon/daemon.hpp"
 
 namespace pcn::daemon {
+
+/// Page accounting, defined once for the run report, the admin windows
+/// and `pcnctl timeline`.  offered = queued + duplicate + dropped +
+/// unknown_terminal; an evicted page was counted queued when admitted.
+inline constexpr std::array<std::string_view, 4> kOfferedPageCounters = {
+    "daemon.page.queued", "daemon.page.duplicate", "daemon.page.dropped",
+    "daemon.page.unknown_terminal"};
+/// failed = dropped + evicted + expired + unknown_terminal.
+inline constexpr std::array<std::string_view, 4> kFailedPageCounters = {
+    "daemon.page.dropped", "daemon.page.evicted", "daemon.page.expired",
+    "daemon.page.unknown_terminal"};
+
+/// Sum of `value(name)` over `names`: counter totals, windowed deltas or
+/// windowed rates.
+template <typename Value>
+auto sum_counters(const std::array<std::string_view, 4>& names,
+                  Value&& value) {
+  decltype(value(names[0])) total{};
+  for (const std::string_view name : names) total += value(name);
+  return total;
+}
+
+/// failed / offered with each counter read through `value`; 0 when
+/// nothing was offered.
+template <typename Value>
+double drop_rate(Value&& value) {
+  const auto offered = sum_counters(kOfferedPageCounters, value);
+  return offered > 0 ? static_cast<double>(
+                           sum_counters(kFailedPageCounters, value)) /
+                           static_cast<double>(offered)
+                     : 0.0;
+}
 
 struct DaemonRunReport {
   // Config echo.
@@ -54,7 +87,7 @@ struct DaemonRunReport {
   std::int64_t slots = 0;
   std::int64_t terminals = 0;
 
-  // Page accounting (offered = queued + duplicate + dropped + unknown).
+  // Page accounting (kOfferedPageCounters, kFailedPageCounters).
   std::int64_t pages_offered = 0;
   std::int64_t pages_queued = 0;
   std::int64_t pages_duplicate = 0;

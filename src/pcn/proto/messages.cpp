@@ -18,8 +18,8 @@ std::vector<std::uint8_t> seal(WireWriter writer) {
   return frame;
 }
 
-/// Strips + verifies the CRC trailer and the (version, type) header;
-/// returns a reader positioned at the payload.
+/// Verifies the CRC trailer, then peek_type's header checks and the
+/// expected type; returns a reader positioned at the payload.
 WireReader open_frame(std::span<const std::uint8_t> frame,
                       MessageType expected) {
   if (frame.size() < 6) {  // version + type + 4-byte CRC minimum
@@ -34,15 +34,10 @@ WireReader open_frame(std::span<const std::uint8_t> frame,
   if (crc32(body) != stored) {
     throw DecodeError("frame: CRC mismatch");
   }
-  WireReader reader(body);
-  if (reader.get_u8() != kProtocolVersion) {
-    throw DecodeError("frame: unsupported protocol version");
-  }
-  const auto type = static_cast<MessageType>(reader.get_u8());
-  if (type != expected) {
+  if (peek_type(frame) != expected) {
     throw DecodeError("frame: unexpected message type");
   }
-  return reader;
+  return WireReader(body.subspan(2));
 }
 
 void put_cell(WireWriter& writer, geometry::Cell cell) {
@@ -119,19 +114,10 @@ MessageType peek_type(std::span<const std::uint8_t> frame) {
   if (frame.size() < 6) {
     throw DecodeError("frame: too short");
   }
-  const std::span<const std::uint8_t> body = frame.subspan(0, frame.size() - 4);
-  const std::span<const std::uint8_t> trailer = frame.subspan(frame.size() - 4);
-  const std::uint32_t stored = static_cast<std::uint32_t>(trailer[0]) |
-                               static_cast<std::uint32_t>(trailer[1]) << 8 |
-                               static_cast<std::uint32_t>(trailer[2]) << 16 |
-                               static_cast<std::uint32_t>(trailer[3]) << 24;
-  if (crc32(body) != stored) {
-    throw DecodeError("frame: CRC mismatch");
-  }
-  if (body[0] != kProtocolVersion) {
+  if (frame[0] != kProtocolVersion) {
     throw DecodeError("frame: unsupported protocol version");
   }
-  const auto type = static_cast<MessageType>(body[1]);
+  const auto type = static_cast<MessageType>(frame[1]);
   switch (type) {
     case MessageType::kLocationUpdate:
     case MessageType::kPageRequest:

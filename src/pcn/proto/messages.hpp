@@ -110,7 +110,9 @@ std::vector<std::uint8_t> encode(const PageResponse& message);
 std::vector<std::uint8_t> encode(const PageSubmit& message);
 std::vector<std::uint8_t> encode(const PageOutcome& message);
 
-/// Peeks the message type of a framed buffer (validates version + CRC).
+/// Peeks the message type of a framed buffer.  Checks the header only
+/// (length >= 6, version, a known type), not the CRC: the type picks a
+/// decoder, and every decoder verifies the CRC.
 MessageType peek_type(std::span<const std::uint8_t> frame);
 
 /// Decoders; throw DecodeError on any malformation (wrong version or type,

@@ -7,7 +7,10 @@
 //     scrapes (every registry cell only grows);
 //   * leave the run bit-identical: the counter fingerprint with live
 //     scraping at 4 threads equals an unscraped 1-thread run, and the
-//     final scrape agrees exactly with make_daemon_report's counters.
+//     final scrape agrees exactly with make_daemon_report's counters;
+//   * read the report's page accounting: a rolling window spanning a
+//     whole drop_oldest run shows the report's drop rate, evictions
+//     included.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -226,6 +230,40 @@ TEST(AdminIntrospection, ScrapesUnderFireAreMonotoneAndNonPerturbing) {
   EXPECT_GE(stats.max_depth_ever, 0);
   EXPECT_LE(static_cast<std::int64_t>(stats.deepest.size()),
             static_cast<std::int64_t>(LiveQueueStats::kTopCells));
+}
+
+TEST(AdminIntrospection, WindowDropRateCountsEvictions) {
+  // drop_oldest at 2x fails its pages as evictions, not tail drops, so a
+  // window that leaves evictions out of the failed set reads 0.
+  PcndConfig config = make_config(2, true);
+  config.queue.admission = AdmissionPolicy::kDropOldest;
+  Pcnd daemon(config);
+  AdminServer admin(&daemon, test_socket_path() + ".window");
+
+  // The first scrape retains an all-zero entry; the second, taken past
+  // one bucket interval (1 s), retains the finished run.
+  const auto first_scrape = std::chrono::steady_clock::now();
+  (void)admin.render_live_snapshot();
+  {
+    ClosedLoopWorkload workload(make_workload_config());
+    daemon.run_slots(kSlots, &workload);
+  }
+  std::this_thread::sleep_until(first_scrape +
+                                std::chrono::milliseconds(1100));
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json(admin.render_live_snapshot(), &doc, &error))
+      << error;
+  const DaemonRunReport report = make_daemon_report(daemon, 2026, kTerminals);
+  ASSERT_GT(report.pages_evicted, 0);
+  ASSERT_EQ(report.pages_dropped, 0);
+
+  const obs::JsonValue* windows = doc.find("windows");
+  ASSERT_NE(windows, nullptr);
+  const obs::JsonValue* ten_seconds = windows->find("10s");
+  ASSERT_NE(ten_seconds, nullptr);
+  EXPECT_GT(ten_seconds->number_or("span_ns", 0.0), 0.0);
+  EXPECT_EQ(ten_seconds->number_or("drop_rate", -1.0), report.drop_rate);
 }
 
 }  // namespace

@@ -804,6 +804,26 @@ TEST(Pcnd, ClosedLoopWorkloadKeepsOnePageInFlight) {
   EXPECT_EQ(delays->sum, static_cast<double>(delay_sum));
 }
 
+/// Generates one page for one terminal, from that terminal's shard.
+class OnePageWorkload : public SlotWorkload {
+ public:
+  OnePageWorkload(std::uint64_t page_id, std::uint64_t terminal)
+      : page_id_(page_id), terminal_(terminal) {}
+  void generate(int shard, int shard_count, std::int64_t /*slot*/,
+                RequestSink& sink) override {
+    if (terminal_ % static_cast<std::uint64_t>(shard_count) ==
+        static_cast<std::uint64_t>(shard)) {
+      sink.page(page_id_, terminal_);
+    }
+  }
+  void on_outcome(std::uint64_t, proto::PageOutcomeKind,
+                  std::int64_t) override {}
+
+ private:
+  std::uint64_t page_id_;
+  std::uint64_t terminal_;
+};
+
 TEST(Pcnd, RepeatedDropsOfOneTerminalGetDistinctSeq) {
   PcndConfig config = base_config();
   config.queue.max_pending = 1;
@@ -828,6 +848,21 @@ TEST(Pcnd, RepeatedDropsOfOneTerminalGetDistinctSeq) {
     }
   }
   EXPECT_EQ(seqs, (std::vector<std::uint32_t>{2, 3, 4}));
+
+  // A ring page and a generated page for one unknown terminal in one
+  // slot take runs from the same APPLY tracker: seq 2, then 3.
+  Pcnd mixed(config);
+  ASSERT_TRUE(mixed.submit(page_request(30, 5)));
+  OnePageWorkload workload(/*page_id=*/31, /*terminal=*/5);
+  mixed.run_slots(1, &workload);
+  seqs.clear();
+  for (const obs::FlightEvent& event : mixed.flight_recorder()->merged()) {
+    if (event.type == obs::FlightEventType::kPageDropped) {
+      EXPECT_EQ(event.terminal, 5);
+      seqs.push_back(event.seq);
+    }
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint32_t>{2, 3}));
 }
 
 /// Throws from terminal shard 1's generate, which runs on worker 1 of 2.

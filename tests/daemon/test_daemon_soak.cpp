@@ -377,6 +377,17 @@ TEST(DaemonSoak, AdmissionPoliciesAtTwiceCapacityMatchPinnedRows) {
     EXPECT_EQ(r.delay_p99, row.p99);
     EXPECT_EQ(r.max_queue_depth, row.max_depth);
     EXPECT_EQ(r.sla_violations, row.sla_violations);
+    // Every failed page is one violation, and so is every page served
+    // past the bound, counted from the exact delay histogram.
+    ASSERT_GT(r.sla_delay_slots, 0);
+    std::int64_t served_late = 0;
+    for (std::size_t k = static_cast<std::size_t>(r.sla_delay_slots) + 1;
+         k < r.queue_delay_slots.size(); ++k) {
+      served_late += r.queue_delay_slots[k];
+    }
+    EXPECT_EQ(r.sla_violations, r.pages_dropped + r.pages_evicted +
+                                    r.pages_expired + r.pages_unknown +
+                                    served_late);
   }
 }
 

@@ -294,6 +294,52 @@ TEST(SocketServer, BadFramesAreCountedAndTheConnectionSurvives) {
   server.stop();
 }
 
+TEST(SocketServer, CorruptCrcFramesAreCountedAndSubmitNothing) {
+  Pcnd daemon(socket_config());
+  SocketServer server(&daemon, socket_path("pcnd_badcrc.sock"));
+  server.start();
+
+  const int fd = connect_client(server.path());
+  // peek_type reads only the header, so each frame reaches its decoder,
+  // which must reject the flipped CRC byte.
+  proto::LocationUpdate update;
+  update.terminal_id = 7;
+  update.sequence = 1;
+  update.cell = {2, -1};
+  std::vector<std::uint8_t> bad_update = proto::encode(update);
+  bad_update.back() ^= 0x01;
+  send_frame(fd, bad_update);
+  await_counter(daemon, "daemon.socket.decode_errors", 1);
+  proto::PageSubmit submit;
+  submit.page_id = 8;
+  submit.terminal_id = 7;
+  std::vector<std::uint8_t> bad_submit = proto::encode(submit);
+  bad_submit[bad_submit.size() - 4] ^= 0x80;
+  send_frame(fd, bad_submit);
+  await_counter(daemon, "daemon.socket.decode_errors", 2);
+  EXPECT_EQ(counter_value(daemon, "daemon.request.update"), 0);
+  EXPECT_EQ(counter_value(daemon, "daemon.request.page"), 0);
+
+  // The connection still serves the next valid frame: an unknown
+  // terminal's page settles as kDropped.
+  submit.page_id = 9;
+  send_frame(fd, proto::encode(submit));
+  await_counter(daemon, "daemon.socket.frames_in", 3);
+  daemon.run_slots(1);
+  EXPECT_EQ(server.flush_outcomes(), 1u);
+  const std::vector<std::uint8_t> frame = recv_frame(fd);
+  ASSERT_FALSE(frame.empty());
+  const proto::PageOutcome outcome = proto::decode_page_outcome(frame);
+  EXPECT_EQ(outcome.page_id, 9u);
+  EXPECT_EQ(outcome.outcome, proto::PageOutcomeKind::kDropped);
+  EXPECT_EQ(counter_value(daemon, "daemon.socket.decode_errors"), 2);
+  EXPECT_EQ(counter_value(daemon, "daemon.request.update"), 0);
+  EXPECT_EQ(counter_value(daemon, "daemon.request.page"), 1);
+
+  ::close(fd);
+  server.stop();
+}
+
 TEST(SocketServer, DisconnectedClientIsReapedAndCannotKillTheDaemon) {
   PcndConfig config;
   config.collect_outcomes = true;

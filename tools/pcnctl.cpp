@@ -81,8 +81,8 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <vector>
@@ -90,6 +90,7 @@
 #include "pcn/baselines/baseline_models.hpp"
 #include "pcn/cli/args.hpp"
 #include "pcn/core/location_manager.hpp"
+#include "pcn/daemon/daemon_report.hpp"
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/report.hpp"
 #include "pcn/obs/rolling_window.hpp"
@@ -865,19 +866,6 @@ std::vector<double> series_activity(const pcn::obs::Timeseries::Series& s) {
   return out;
 }
 
-/// Sum of the windowed per-slot rates of several counters ("per_sec" is
-/// per-slot here: replayed timestamps are slot * 1e9 ns).
-double summed_rate(const pcn::obs::RollingWindow& window,
-                   std::initializer_list<const char*> names,
-                   std::int64_t window_ns) {
-  double total = 0.0;
-  for (const char* name : names) {
-    if (const auto rate = window.rate(name, window_ns)) {
-      total += rate->per_sec;
-    }
-  }
-  return total;
-}
 
 int cmd_timeline(const Args& args) {
   const std::string socket_path = args.get_string_or("admin-socket", "");
@@ -927,7 +915,7 @@ int cmd_timeline(const Args& args) {
   // exactly what the live `pcnctl top` dashboard uses.
   pcn::obs::RollingWindow window(1, samples + 2);
   std::vector<std::int64_t> step_slots;   // sample i >= 1
-  std::vector<double> failure_per_slot;   // drop+expire+unknown rate
+  std::vector<double> failure_per_slot;   // failed pages per slot
   std::vector<double> delay_mean;         // windowed queue-delay mean
   for (std::size_t i = 0; i < samples; ++i) {
     window.add(series.slots[i] * 1'000'000'000, series.snapshot_at(i));
@@ -935,11 +923,12 @@ int cmd_timeline(const Args& args) {
     const std::int64_t step_ns =
         (series.slots[i] - series.slots[i - 1]) * 1'000'000'000;
     step_slots.push_back(series.slots[i]);
-    failure_per_slot.push_back(summed_rate(
-        window,
-        {"daemon.page.dropped", "daemon.page.expired",
-         "daemon.page.unknown_terminal"},
-        step_ns));
+    // "per_sec" is per-slot here: replayed timestamps are slot * 1e9 ns.
+    failure_per_slot.push_back(pcn::daemon::sum_counters(
+        pcn::daemon::kFailedPageCounters, [&](std::string_view name) {
+          const auto rate = window.rate(name, step_ns);
+          return rate ? rate->per_sec : 0.0;
+        }));
     const auto delay =
         window.quantiles("daemon.page.queue_delay_slots", step_ns);
     delay_mean.push_back(delay ? delay->mean : 0.0);

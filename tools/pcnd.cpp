@@ -342,12 +342,16 @@ int cmd_serve(const Args& args) {
   const pcn::obs::MetricsSnapshot snapshot =
       daemon.metrics_registry().snapshot();
   std::printf("pcnd serve: %" PRId64 " slots, %" PRId64 " updates, %" PRId64
-              " pages served, %" PRId64 " dropped, %" PRId64 " expired\n",
+              " pages served, %" PRId64 " dropped, %" PRId64
+              " evicted, %" PRId64 " expired, %" PRId64
+              " unknown_terminal\n",
               snapshot.counter_value("daemon.slot.count"),
               snapshot.counter_value("daemon.update.applied"),
               snapshot.counter_value("daemon.page.served"),
               snapshot.counter_value("daemon.page.dropped"),
-              snapshot.counter_value("daemon.page.expired"));
+              snapshot.counter_value("daemon.page.evicted"),
+              snapshot.counter_value("daemon.page.expired"),
+              snapshot.counter_value("daemon.page.unknown_terminal"));
   return 0;
 }
 

@@ -6,8 +6,12 @@
 #      lock-free metrics-registry concurrency suite, the
 #      admin-introspection snapshot-under-fire suite (scrapes racing the
 #      4-thread slot loop), the ShardPool fork-join suite (with the
-#      thread-reuse pins of Network and pcnd), and the socket front end's
-#      suite (its I/O thread against the slot loop, hostile clients),
+#      thread-reuse pins of Network and pcnd), the socket front end's
+#      suite (its I/O thread against the slot loop, hostile clients), and
+#      pcnd's slot-loop determinism tests (bit-identical counters and
+#      outcome streams across thread counts, a failed phase): the closed-
+#      loop generator's in-flight state is written by DRAIN workers'
+#      on_outcome and read by APPLY workers in the next slot,
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
 #      the terminal-DB hostile-id and property suites (ids near 2^64,
@@ -87,13 +91,16 @@ echo "== [2/13] TSan: sharded-run determinism + metrics registry =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target test_network_parallel test_metrics_registry \
-  test_admin_introspection test_shard_pool test_daemon_socket
+  test_admin_introspection test_shard_pool test_daemon_socket test_daemon
 # The admin-introspection suite reuses the soak scale knobs; TSan's
 # slowdown wants the smoke scenario.
+tsan_tests='NetworkParallel|MetricsRegistry|AdminIntrospection|ShardPool'
+tsan_tests+='|ThreadReuse|SocketServer'
+tsan_tests+='|Pcnd\.(BitIdenticalResultsAcrossThreadCounts'
+tsan_tests+='|OutcomeStreamIsIdenticalAcrossThreadCounts'
+tsan_tests+='|FailedPhaseRethrowsAndDoesNotAdvanceTheSlot)'
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
-  ctest --test-dir build-tsan \
-  -R 'NetworkParallel|MetricsRegistry|AdminIntrospection|ShardPool|ThreadReuse|SocketServer' \
-  --output-on-failure -j "$jobs"
+  ctest --test-dir build-tsan -R "$tsan_tests" --output-on-failure -j "$jobs"
 
 echo "== [3/13] ASan+UBSan: wire codec round-trips + terminal DB + queues =="
 cmake --preset asan
