@@ -281,7 +281,8 @@ struct DaemonLeg {
     workload = std::make_unique<pcn::daemon::ClosedLoopWorkload>(load);
 
     // The always-on production cost of --admin-socket: a listener bound
-    // and accepting.  Scrape service cost is a client's, not the slot
+    // and accepting, and its thread sampling the metric history about
+    // once a second.  Scrape service cost is a client's, not the slot
     // loop's; hammering scrapes under fire is the admin-introspection
     // soak test's job.
     if (introspect) {

@@ -1,5 +1,6 @@
 #include "pcn/daemon/admin_server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -20,9 +21,14 @@ namespace pcn::daemon {
 namespace {
 
 /// Per-connection socket timeout: a scraper that stalls longer than this
-/// mid-request or mid-reply is dropped (the accept thread serves one
+/// mid-request or mid-reply is dropped (the server thread serves one
 /// connection at a time, so this bounds how long any scraper can hold it).
 constexpr int kIoTimeoutSec = 2;
+
+/// History shape: samples at least this far apart, newest kept.  64 × 1 s
+/// covers the 60 s window.
+constexpr std::int64_t kSampleIntervalNs = 1'000'000'000;
+constexpr std::size_t kHistorySamples = 64;
 
 /// Longest request line we accept ("prom\n" / "json\n" plus slack).
 constexpr std::size_t kMaxRequestBytes = 16;
@@ -66,23 +72,25 @@ void send_all(int fd, std::string_view payload) {
   }
 }
 
-/// One rolling-window section: counter rates, the windowed drop rate, and
-/// windowed delay quantiles.  Zero-filled when the window has fewer than
-/// two entries covering the span (rates need two points).
-void write_window(obs::JsonWriter& json, const obs::RollingWindow& window,
-                  std::int64_t window_ns) {
-  const auto rate_of = [&](std::string_view name) {
-    const auto rate = window.rate(name, window_ns);
-    return rate ? rate->per_sec : 0.0;
-  };
+/// One window section: counter rates, the windowed drop rate, and
+/// windowed delay quantiles.  Zero-filled when no earlier sample lies
+/// within the span (rates need two samples).
+void write_window(obs::JsonWriter& json, const obs::Timeseries& history,
+                  std::int64_t span_ns) {
   const auto delta_of = [&](std::string_view name) {
-    const auto rate = window.rate(name, window_ns);
-    return rate ? rate->delta : std::int64_t{0};
+    const auto window = obs::window_delta(history, name, span_ns);
+    return window ? window->delta : std::int64_t{0};
   };
-  const auto slots = window.rate("daemon.slot.count", window_ns);
+  const auto slots = obs::window_delta(history, "daemon.slot.count", span_ns);
+  const std::int64_t covered_ns = slots ? slots->span : 0;
+  const auto rate_of = [&](std::string_view name) {
+    return covered_ns > 0 ? static_cast<double>(delta_of(name)) * 1e9 /
+                                static_cast<double>(covered_ns)
+                          : 0.0;
+  };
   json.begin_object();
-  json.member("span_ns", slots ? slots->span_ns : std::int64_t{0});
-  json.member("slots_per_sec", slots ? slots->per_sec : 0.0);
+  json.member("span_ns", covered_ns);
+  json.member("slots_per_sec", rate_of("daemon.slot.count"));
   json.member("updates_per_sec", rate_of("daemon.request.update"));
   json.member("pages_per_sec", rate_of("daemon.request.page"));
   json.member("served_per_sec", rate_of("daemon.page.served"));
@@ -90,7 +98,7 @@ void write_window(obs::JsonWriter& json, const obs::RollingWindow& window,
   json.member("expired_per_sec", rate_of("daemon.page.expired"));
   json.member("drop_rate", drop_rate(delta_of));
   const auto delay =
-      window.quantiles("daemon.page.queue_delay_slots", window_ns);
+      obs::window_quantiles(history, "daemon.page.queue_delay_slots", span_ns);
   json.key("delay").begin_object();
   json.member("count", delay ? delay->count : std::int64_t{0});
   json.member("mean", delay ? delay->mean : 0.0);
@@ -105,7 +113,9 @@ void write_window(obs::JsonWriter& json, const obs::RollingWindow& window,
 }  // namespace
 
 AdminServer::AdminServer(Pcnd* daemon, std::string path)
-    : daemon_(daemon), path_(std::move(path)) {
+    : daemon_(daemon),
+      path_(std::move(path)),
+      history_(kSampleIntervalNs, kHistorySamples) {
   PCN_EXPECT(daemon_ != nullptr, "AdminServer: daemon must not be null");
   sockaddr_un address{};
   PCN_EXPECT(path_.size() < sizeof(address.sun_path),
@@ -135,18 +145,33 @@ AdminServer::~AdminServer() {
 void AdminServer::start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  serve_thread_ = std::thread([this] { serve_loop(); });
 }
 
 void AdminServer::stop() {
   bool expected = true;
   if (!running_.compare_exchange_strong(expected, false)) return;
   ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (serve_thread_.joinable()) serve_thread_.join();
 }
 
-void AdminServer::accept_loop() {
+void AdminServer::serve_loop() {
+  pollfd listener{listen_fd_, POLLIN, 0};
   while (running_.load(std::memory_order_acquire)) {
+    // Wait for a scraper until the next history sample is due, then take
+    // that sample whether or not anyone connected.
+    std::int64_t due_ns = 0;
+    {
+      const std::lock_guard<std::mutex> lock(history_mutex_);
+      due_ns = next_sample_due_ns();
+    }
+    const std::int64_t wait_ns = due_ns - obs::monotonic_ns();
+    if (wait_ns <= 0) {
+      (void)observe(nullptr);
+      continue;
+    }
+    const int wait_ms = static_cast<int>((wait_ns + 999'999) / 1'000'000);
+    if (::poll(&listener, 1, wait_ms) <= 0) continue;  // timeout or EINTR
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
@@ -176,26 +201,17 @@ void AdminServer::handle_connection(int fd) {
   // Anything else (timeout, EOF, unknown verb): close without a reply.
 }
 
-void AdminServer::tick() {
-  const std::int64_t now_ns = obs::monotonic_ns();
-  {
-    const std::lock_guard<std::mutex> lock(window_mutex_);
-    if (window_.size() > 0 &&
-        now_ns - window_.newest_ns() < window_.bucket_interval_ns()) {
-      return;  // the common per-slot case: nothing to retain yet
-    }
-  }
-  obs::MetricsSnapshot snapshot = daemon_->metrics_registry().snapshot();
-  const std::lock_guard<std::mutex> lock(window_mutex_);
-  window_.maybe_add(now_ns, std::move(snapshot));
+std::int64_t AdminServer::next_sample_due_ns() const {
+  const std::vector<std::int64_t>& keys = history_.data().slots;
+  return keys.empty() ? 0 : keys.back() + kSampleIntervalNs;
 }
 
 obs::MetricsSnapshot AdminServer::observe(std::int64_t* now_ns_out) {
   const std::int64_t now_ns = obs::monotonic_ns();
   obs::MetricsSnapshot snapshot = daemon_->metrics_registry().snapshot();
   {
-    const std::lock_guard<std::mutex> lock(window_mutex_);
-    window_.maybe_add(now_ns, snapshot);
+    const std::lock_guard<std::mutex> lock(history_mutex_);
+    if (now_ns >= next_sample_due_ns()) history_.sample(now_ns, snapshot);
   }
   if (now_ns_out != nullptr) *now_ns_out = now_ns;
   return snapshot;
@@ -263,14 +279,15 @@ std::string AdminServer::render_live_snapshot() {
   json.end_object();
 
   {
-    const std::lock_guard<std::mutex> lock(window_mutex_);
+    const std::lock_guard<std::mutex> lock(history_mutex_);
+    const obs::Timeseries& history = history_.data();
     json.key("windows").begin_object();
     json.key("1s");
-    write_window(json, window_, 1'000'000'000);
+    write_window(json, history, 1'000'000'000);
     json.key("10s");
-    write_window(json, window_, 10'000'000'000);
+    write_window(json, history, 10'000'000'000);
     json.key("60s");
-    write_window(json, window_, 60'000'000'000);
+    write_window(json, history, 60'000'000'000);
     json.end_object();
   }
 

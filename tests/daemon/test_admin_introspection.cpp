@@ -8,9 +8,9 @@
 //   * leave the run bit-identical: the counter fingerprint with live
 //     scraping at 4 threads equals an unscraped 1-thread run, and the
 //     final scrape agrees exactly with make_daemon_report's counters;
-//   * read the report's page accounting: a rolling window spanning a
-//     whole drop_oldest run shows the report's drop rate, evictions
-//     included.
+//   * read the report's page accounting: a window spanning a whole
+//     drop_oldest run shows the report's drop rate, evictions included;
+//   * fill the windows from the server's own thread, with no scrape.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -240,10 +240,22 @@ TEST(AdminIntrospection, WindowDropRateCountsEvictions) {
   Pcnd daemon(config);
   AdminServer admin(&daemon, test_socket_path() + ".window");
 
-  // The first scrape retains an all-zero entry; the second, taken past
-  // one bucket interval (1 s), retains the finished run.
+  // The first scrape samples the all-zero registry.  A scrape within
+  // 1 s of it samples nothing, so its windows have no base yet; the last
+  // scrape, past 1 s, samples the finished run.
   const auto first_scrape = std::chrono::steady_clock::now();
   (void)admin.render_live_snapshot();
+  {
+    obs::JsonValue early;
+    std::string error;
+    ASSERT_TRUE(obs::parse_json(admin.render_live_snapshot(), &early, &error))
+        << error;
+    const obs::JsonValue* windows = early.find("windows");
+    ASSERT_NE(windows, nullptr);
+    const obs::JsonValue* ten_seconds = windows->find("10s");
+    ASSERT_NE(ten_seconds, nullptr);
+    EXPECT_EQ(ten_seconds->number_or("span_ns", -1.0), 0.0);
+  }
   {
     ClosedLoopWorkload workload(make_workload_config());
     daemon.run_slots(kSlots, &workload);
@@ -264,6 +276,34 @@ TEST(AdminIntrospection, WindowDropRateCountsEvictions) {
   ASSERT_NE(ten_seconds, nullptr);
   EXPECT_GT(ten_seconds->number_or("span_ns", 0.0), 0.0);
   EXPECT_EQ(ten_seconds->number_or("drop_rate", -1.0), report.drop_rate);
+}
+
+TEST(AdminIntrospection, WindowsFillWithoutScrapes) {
+  // The server thread samples the history about once a second on its own,
+  // so a run with no scrape until its end still has a window to read.
+  Pcnd daemon(make_config(2, true));
+  AdminServer admin(&daemon, test_socket_path() + ".unscraped");
+  admin.start();
+  const auto start = std::chrono::steady_clock::now();
+  {
+    ClosedLoopWorkload workload(make_workload_config());
+    while (std::chrono::steady_clock::now() - start <
+           std::chrono::milliseconds(1500)) {
+      daemon.run_slots(1, &workload);
+    }
+  }
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json(admin.render_live_snapshot(), &doc, &error))
+      << error;
+  admin.stop();
+
+  const obs::JsonValue* windows = doc.find("windows");
+  ASSERT_NE(windows, nullptr);
+  const obs::JsonValue* ten_seconds = windows->find("10s");
+  ASSERT_NE(ten_seconds, nullptr);
+  EXPECT_GT(ten_seconds->number_or("span_ns", 0.0), 0.0);
+  EXPECT_GT(ten_seconds->number_or("pages_per_sec", 0.0), 0.0);
 }
 
 }  // namespace

@@ -58,8 +58,9 @@
 //                      scripting)
 // timeline:
 //   pcnctl timeline FILE        analyze a pcn.timeseries.v1 run timeline:
-//   per-series sparkline tables, windowed rates/quantiles (RollingWindow
-//   delta math over the replayed samples) and CUSUM changepoint verdicts
+//   per-series sparkline tables, windowed deltas/quantiles (the same
+//   obs::window_delta / window_quantiles reads the admin windows use,
+//   straight over the decoded columns) and CUSUM changepoint verdicts
 //   (machine-readable PCN_TIMELINE line with overload_onset_slot).
 //   --admin-socket P   scrape the live timeline tail from a running pcnd
 //                      instead of reading FILE
@@ -93,7 +94,6 @@
 #include "pcn/daemon/daemon_report.hpp"
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/report.hpp"
-#include "pcn/obs/rolling_window.hpp"
 #include "pcn/obs/timer.hpp"
 #include "pcn/obs/timeseries.hpp"
 #include "pcn/obs/timeseries_codec.hpp"
@@ -910,27 +910,23 @@ int cmd_timeline(const Args& args) {
   const std::int64_t first_slot = samples > 0 ? series.slots.front() : 0;
   const std::int64_t last_slot = samples > 0 ? series.slots.back() : 0;
 
-  // Replay the samples through RollingWindow with slot-as-seconds
-  // timestamps: per_sec becomes per-slot, and the windowed delta math is
-  // exactly what the live `pcnctl top` dashboard uses.
-  pcn::obs::RollingWindow window(1, samples + 2);
+  // Per-step series from the columns: step i is the window from sample
+  // i - 1 to sample i, so a delta over its span is a per-slot rate.
   std::vector<std::int64_t> step_slots;   // sample i >= 1
   std::vector<double> failure_per_slot;   // failed pages per slot
   std::vector<double> delay_mean;         // windowed queue-delay mean
-  for (std::size_t i = 0; i < samples; ++i) {
-    window.add(series.slots[i] * 1'000'000'000, series.snapshot_at(i));
-    if (i == 0) continue;
-    const std::int64_t step_ns =
-        (series.slots[i] - series.slots[i - 1]) * 1'000'000'000;
+  for (std::size_t i = 1; i < samples; ++i) {
+    const std::int64_t step = series.slots[i] - series.slots[i - 1];
     step_slots.push_back(series.slots[i]);
-    // "per_sec" is per-slot here: replayed timestamps are slot * 1e9 ns.
     failure_per_slot.push_back(pcn::daemon::sum_counters(
         pcn::daemon::kFailedPageCounters, [&](std::string_view name) {
-          const auto rate = window.rate(name, step_ns);
-          return rate ? rate->per_sec : 0.0;
+          const auto window = pcn::obs::window_delta(series, name, step, i);
+          return window ? static_cast<double>(window->delta) /
+                              static_cast<double>(window->span)
+                        : 0.0;
         }));
-    const auto delay =
-        window.quantiles("daemon.page.queue_delay_slots", step_ns);
+    const auto delay = pcn::obs::window_quantiles(
+        series, "daemon.page.queue_delay_slots", step, {}, i);
     delay_mean.push_back(delay ? delay->mean : 0.0);
   }
 
@@ -951,7 +947,6 @@ int cmd_timeline(const Args& args) {
   const std::int64_t span_slots =
       window_slots > 0 ? window_slots : std::max<std::int64_t>(
                                             last_slot - first_slot, 1);
-  const std::int64_t span_ns = span_slots * 1'000'000'000;
 
   if (raw_json) {
     pcn::obs::JsonWriter json;
@@ -1028,21 +1023,21 @@ int cmd_timeline(const Args& args) {
                 ? (s.values.empty() ? 0 : s.values.back())
                 : (s.counts.empty() ? 0 : s.counts.back());
         last = std::to_string(final_value);
-        const auto rate = window.rate(s.name, span_ns);
-        if (s.kind == pcn::obs::SeriesKind::kCounter && rate) {
-          windowed = std::to_string(rate->delta);
-        } else if (s.kind == pcn::obs::SeriesKind::kHistogram) {
-          const auto q = window.quantiles(s.name, span_ns);
-          windowed = q ? std::to_string(q->count) : "-";
+        if (s.kind == pcn::obs::SeriesKind::kCounter) {
+          const auto window =
+              pcn::obs::window_delta(series, s.name, span_slots);
+          windowed = window ? std::to_string(window->delta) : "-";
         } else {
-          windowed = "-";
+          const auto q =
+              pcn::obs::window_quantiles(series, s.name, span_slots, {});
+          windowed = q ? std::to_string(q->count) : "-";
         }
       }
       std::printf("  %-34s %12s %12s  %s\n", s.name.c_str(), last.c_str(),
                   windowed.c_str(), sparkline(activity, 48).c_str());
     }
-    const auto delay =
-        window.quantiles("daemon.page.queue_delay_slots", span_ns);
+    const auto delay = pcn::obs::window_quantiles(
+        series, "daemon.page.queue_delay_slots", span_slots);
     if (delay && delay->count > 0) {
       std::printf("\nqueue delay   : %lld served in window, mean %.2f, "
                   "p50 %.1f, p95 %.1f, p99 %.1f, max %.0f slots\n",
