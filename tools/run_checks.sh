@@ -54,7 +54,10 @@
 #      a daemon run report,
 #  10. live introspection gate — a pcnd overload run with --admin-socket
 #      is scraped mid-flight by `pcnctl top --once --json` (must exit 0
-#      and print a pcn.live_snapshot.v1 document),
+#      and print a pcn.live_snapshot.v1 document), and scraped again 2 s
+#      later: the admin server samples its metric history on its own
+#      thread, so the second scrape's 10s window must cover a non-zero
+#      span_ns,
 #  11. run-timeline gate — the 2x-overload scenario runs with
 #      --series-out, `pcnctl timeline --reencode` must round-trip the
 #      pcn.timeseries.v1 file byte-exactly (cmp), and its CUSUM
@@ -244,8 +247,8 @@ echo "== [10/13] live introspection gate: admin scrape + pcnctl top =="
 cmake --build --preset default -j "$jobs" --target pcnd pcnctl
 # A 2x-overload run serving live scrapes on --admin-socket; pcnctl top
 # must get a pcn.live_snapshot.v1 document out of it mid-flight.  The
-# run is sized well past the scrape so the daemon is still hot, then
-# killed once the scrape has what it needs.
+# run is sized well past both scrapes so the daemon is still hot, then
+# killed once the scrapes have what they need.
 admin_dir=$(mktemp -d)
 admin_sock="$admin_dir/admin.sock"
 ./build/tools/pcnd run --terminals 20000 --slots 200000 --region 16 \
@@ -260,6 +263,14 @@ for _ in $(seq 1 100); do
   if ! kill -0 "$pcnd_pid" 2>/dev/null; then break; fi
   sleep 0.1
 done
+# The windows fill between scrapes: 2 s after the first scrape, the 10s
+# window must span at least two history samples.
+later_json=""
+if [ -n "$top_json" ]; then
+  sleep 2
+  later_json=$(./build/tools/pcnctl top --admin-socket "$admin_sock" \
+    --once --json 2>/dev/null) || later_json=""
+fi
 kill "$pcnd_pid" 2>/dev/null || true
 wait "$pcnd_pid" 2>/dev/null || true
 rm -rf "$admin_dir"
@@ -267,6 +278,14 @@ if echo "$top_json" | grep -q '"schema":"pcn.live_snapshot.v1"'; then
   echo "introspection gate ok: pcnctl top scraped a live snapshot"
 else
   echo "introspection gate FAILED: no live snapshot from pcnctl top"
+  exit 1
+fi
+span_10s=$(echo "$later_json" | \
+  sed -n 's/.*"10s":{"span_ns":\([0-9]*\).*/\1/p')
+if [ -n "$span_10s" ] && [ "$span_10s" -gt 0 ]; then
+  echo "introspection gate ok: 10s window spans ${span_10s} ns after 2 s"
+else
+  echo "introspection gate FAILED: 10s window span_ns=${span_10s:-none} 2 s after the first scrape"
   exit 1
 fi
 
