@@ -4,7 +4,9 @@
 // O(d) recurrence is the exact reference, and the dense LU solve is the
 // O(d^3) cross-check only.  The BM_Obs* group prices the telemetry
 // primitives themselves — the per-operation costs quoted in
-// docs/observability.md come from here.
+// docs/observability.md come from here.  BM_PcndOverloadSlot prices one
+// saturated pcnd slot on one worker, an in-process A/B for the daemon's
+// slot path with less host noise than a whole perfbench run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,6 +15,8 @@
 
 #include "gbench_report.hpp"
 #include "pcn/costs/cost_model.hpp"
+#include "pcn/daemon/daemon.hpp"
+#include "pcn/daemon/load_gen.hpp"
 #include "pcn/geometry/la_tiling.hpp"
 #include "pcn/markov/closed_form.hpp"
 #include "pcn/markov/steady_state.hpp"
@@ -188,6 +192,51 @@ void BM_ObsScopedTimer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsScopedTimer);
+
+// --- pcnd slot path ------------------------------------------------------------
+
+void BM_PcndOverloadSlot(benchmark::State& state) {
+  // perfbench's daemon_overload at a quarter of its fleet on a quarter of
+  // its cells (25k terminals, 32x32 torus: the same terminals per cell),
+  // on one worker: a closed loop offered twice the paging capacity, with
+  // its queues saturated by a warm-up of one page lifetime.  One
+  // iteration is one slot, and the iteration count is fixed, so every
+  // run times the same slots; items are the slots' requests.
+  pcn::daemon::PcndConfig config;
+  config.threads = 1;
+  config.capacity = pcn::capacity::PagingCapacityModel(2, 1.0);
+  config.queue.max_pending = 64;
+  config.queue.lifetime_slots = 128;
+  config.queue.admission = pcn::daemon::AdmissionPolicy::kDropNewest;
+  config.sla_delay_slots = 8;
+  config.live_stats = true;
+  pcn::daemon::Pcnd daemon(config);
+  constexpr int kRegion = 32;
+  constexpr std::uint64_t kTerminals = 25'000;
+  pcn::daemon::ClosedLoopConfig load;
+  load.seed = 4;
+  load.terminals = kTerminals;
+  load.region = kRegion;
+  load.move_prob = 0.2;
+  load.threshold = 3;
+  load.call_prob = 2.0 * kRegion * kRegion * config.capacity.pages_per_slot() /
+                   static_cast<double>(kTerminals);
+  pcn::daemon::ClosedLoopWorkload workload(load);
+  daemon.run_slots(config.queue.lifetime_slots, &workload);
+
+  const auto requests = [&daemon] {
+    const pcn::obs::MetricsSnapshot snapshot =
+        daemon.metrics_registry().snapshot();
+    return snapshot.counter_value("daemon.request.update") +
+           snapshot.counter_value("daemon.request.page");
+  };
+  const std::int64_t before = requests();
+  for (auto _ : state) {
+    daemon.run_slots(1, &workload);
+  }
+  state.SetItemsProcessed(requests() - before);
+}
+BENCHMARK(BM_PcndOverloadSlot)->Iterations(512)->Unit(benchmark::kMicrosecond);
 
 void BM_ObsRegistrySnapshot(benchmark::State& state) {
   pcn::obs::MetricsRegistry registry;

@@ -282,7 +282,7 @@ struct DaemonLeg {
 
     // The always-on production cost of --admin-socket: a listener bound
     // and accepting, and its thread sampling the metric history about
-    // once a second.  Scrape service cost is a client's, not the slot
+    // four times a second.  Scrape service cost is a client's, not the slot
     // loop's; hammering scrapes under fire is the admin-introspection
     // soak test's job.
     if (introspect) {

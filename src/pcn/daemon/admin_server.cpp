@@ -25,10 +25,11 @@ namespace {
 /// connection at a time, so this bounds how long any scraper can hold it).
 constexpr int kIoTimeoutSec = 2;
 
-/// History shape: samples at least this far apart, newest kept.  64 × 1 s
-/// covers the 60 s window.
-constexpr std::int64_t kSampleIntervalNs = 1'000'000'000;
-constexpr std::size_t kHistorySamples = 64;
+/// History shape: samples at least this far apart, newest kept.  Four
+/// samples a second give the 1 s window a base inside its span, and
+/// 256 × 250 ms covers the 60 s window.
+constexpr std::int64_t kSampleIntervalNs = 250'000'000;
+constexpr std::size_t kHistorySamples = 256;
 
 /// Longest request line we accept ("prom\n" / "json\n" plus slack).
 constexpr std::size_t kMaxRequestBytes = 16;

@@ -16,9 +16,10 @@
 // monotone non-decreasing counter totals.
 //
 // The server keeps a short metric history: a capped obs::TimeseriesRecorder
-// (64 samples at least 1 s apart, keyed by monotonic ns).  Its own thread
-// samples about once a second, so the history fills whether or not anyone
-// scrapes, and a scrape samples too when one is due.  The JSON snapshot's
+// (256 samples at least 250 ms apart, keyed by monotonic ns).  Its own
+// thread samples about four times a second, so the history fills whether
+// or not anyone scrapes and the 1s window always has an earlier sample
+// inside its span; a scrape samples too when one is due.  The JSON snapshot's
 // 1s/10s/60s windows are obs::window_delta / obs::window_quantiles reads
 // over that history — current load, not lifetime averages.  They read
 // only daemon.* counters and the delay histogram, which Pcnd registers in

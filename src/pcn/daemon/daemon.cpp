@@ -19,6 +19,23 @@ std::uint64_t request_terminal(const DaemonRequest& request) {
              : request.terminal_id;
 }
 
+/// How many queues ahead of its visit DRAIN prefetches each stage of a
+/// queue: the object's own lines, then its group heads and link array,
+/// then its slab entries (both located through the object).
+constexpr std::uint32_t kPrefetchQueueAhead = 16;
+constexpr std::uint32_t kPrefetchLinksAhead = 8;
+constexpr std::uint32_t kPrefetchEntriesAhead = 4;
+
+/// Prefetches every cache line `object` spans.
+template <class T>
+void prefetch_object(const T& object) {
+  const char* bytes = reinterpret_cast<const char*>(&object);
+  for (std::size_t offset = 0; offset < sizeof(T); offset += 64) {
+    __builtin_prefetch(bytes + offset);
+  }
+  __builtin_prefetch(bytes + sizeof(T) - 1);
+}
+
 }  // namespace
 
 namespace detail {
@@ -100,14 +117,14 @@ void Pcnd::QueueShard::grow_index() {
 }
 
 void RequestSink::update(const proto::LocationUpdate& update) {
-  daemon_->requests_update_.add(1, static_cast<std::size_t>(shard_));
-  daemon_->apply_update(shard_, update);
+  tally_->add(detail::kRequestUpdate);
+  daemon_->apply_update(shard_, update, *tally_);
 }
 
 void RequestSink::page(std::uint64_t page_id, std::uint64_t terminal_id) {
-  daemon_->requests_page_.add(1, static_cast<std::size_t>(shard_));
+  tally_->add(detail::kRequestPage);
   daemon_->apply_page(shard_, slot_, page_id, terminal_id, /*client=*/0,
-                      workload_, tracker_);
+                      workload_, tracker_, *tally_);
 }
 
 Pcnd::Pcnd(const PcndConfig& config)
@@ -121,6 +138,10 @@ Pcnd::Pcnd(const PcndConfig& config)
   // The queue's priority-eviction deadlines must rank by the same SLA
   // the daemon enforces, so the daemon's bound is authoritative.
   config_.queue.sla_delay_slots = config_.sla_delay_slots;
+  terminal_shard_divisor_ =
+      Divisor(static_cast<std::uint64_t>(config_.terminal_shards));
+  queue_shard_divisor_ =
+      Divisor(static_cast<std::uint64_t>(config_.queue_shards));
   if (config_.plan.mode != DelayPlanConfig::Mode::kOff) {
     planner_ = std::make_unique<DelayFeedbackPlanner>(
         config_.plan, config_.capacity, config_.sla_delay_slots);
@@ -153,19 +174,20 @@ Pcnd::Pcnd(const PcndConfig& config)
     live_stats_publish_scratch_.deepest.reserve(LiveQueueStats::kTopCells);
   }
 
-  requests_update_ = registry_.counter("daemon.request.update");
-  requests_page_ = registry_.counter("daemon.request.page");
+  using namespace detail;
+  tallied_[kRequestUpdate] = registry_.counter("daemon.request.update");
+  tallied_[kRequestPage] = registry_.counter("daemon.request.page");
   requests_rejected_ = registry_.counter("daemon.request.rejected_ring_full");
-  updates_applied_ = registry_.counter("daemon.update.applied");
-  updates_stale_ = registry_.counter("daemon.update.stale");
-  pages_queued_ = registry_.counter("daemon.page.queued");
-  pages_duplicate_ = registry_.counter("daemon.page.duplicate");
-  pages_dropped_ = registry_.counter("daemon.page.dropped");
-  pages_evicted_ = registry_.counter("daemon.page.evicted");
-  pages_expired_ = registry_.counter("daemon.page.expired");
-  pages_served_ = registry_.counter("daemon.page.served");
-  pages_unknown_ = registry_.counter("daemon.page.unknown_terminal");
-  sla_violations_ = registry_.counter("daemon.page.sla_violation");
+  tallied_[kUpdateApplied] = registry_.counter("daemon.update.applied");
+  tallied_[kUpdateStale] = registry_.counter("daemon.update.stale");
+  tallied_[kPageQueued] = registry_.counter("daemon.page.queued");
+  tallied_[kPageDuplicate] = registry_.counter("daemon.page.duplicate");
+  tallied_[kPageDropped] = registry_.counter("daemon.page.dropped");
+  tallied_[kPageEvicted] = registry_.counter("daemon.page.evicted");
+  tallied_[kPageExpired] = registry_.counter("daemon.page.expired");
+  tallied_[kPageServed] = registry_.counter("daemon.page.served");
+  tallied_[kPageUnknown] = registry_.counter("daemon.page.unknown_terminal");
+  tallied_[kSlaViolation] = registry_.counter("daemon.page.sla_violation");
   slots_run_ = registry_.counter("daemon.slot.count");
   wall_ns_ = registry_.counter("daemon.run.wall_ns");
   plan_widen_ = registry_.counter("daemon.plan.widen");
@@ -199,11 +221,11 @@ bool Pcnd::submit(const DaemonRequest& request) {
     requests_rejected_.add(1, static_cast<std::size_t>(terminal));
     return false;
   }
-  if (request.kind == DaemonRequest::Kind::kUpdate) {
-    requests_update_.add(1, static_cast<std::size_t>(terminal));
-  } else {
-    requests_page_.add(1, static_cast<std::size_t>(terminal));
-  }
+  // Producers race here, so these two stay per-request atomic adds.
+  tallied_[request.kind == DaemonRequest::Kind::kUpdate
+               ? detail::kRequestUpdate
+               : detail::kRequestPage]
+      .add(1, static_cast<std::size_t>(terminal));
   return true;
 }
 
@@ -243,25 +265,27 @@ void Pcnd::ingest_phase() {
   }
 }
 
-void Pcnd::apply_update(int shard, const proto::LocationUpdate& update) {
+void Pcnd::apply_update(int shard, const proto::LocationUpdate& update,
+                        detail::CounterTally& tally) {
   PCN_ASSERT(terminal_shard_of(update.terminal_id) == shard);
   auto [state, inserted] = terminals_[static_cast<std::size_t>(shard)]
                                .try_emplace(terminal_key(update.terminal_id));
   if (!inserted && update.sequence <= state->sequence) {
     // Duplicate or reordered frame on a lossy air interface: the stored
     // state is newer, keep it.
-    updates_stale_.add(1, static_cast<std::size_t>(shard));
+    tally.add(detail::kUpdateStale);
     return;
   }
   state->center = update.cell;
   state->sequence = update.sequence;
   state->radius = update.containment_radius;
-  updates_applied_.add(1, static_cast<std::size_t>(shard));
+  tally.add(detail::kUpdateApplied);
 }
 
 void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
                       std::uint64_t terminal_id, std::uint32_t client,
-                      SlotWorkload* workload, detail::SeqTracker* tracker) {
+                      SlotWorkload* workload, detail::SeqTracker* tracker,
+                      detail::CounterTally& tally) {
   PCN_ASSERT(terminal_shard_of(terminal_id) == shard);
   const std::uint32_t run = tracker->next(terminal_id);
   const TerminalTable::Entry* state =
@@ -270,7 +294,7 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
   if (state == nullptr) {
     // No center cell on file: the page has nowhere to go.  Verdict now,
     // in the apply phase, owned by the terminal shard's worker.
-    settle(pages_unknown_, shard,
+    settle(detail::kPageUnknown, tally, shard,
            {page_id, terminal_id, proto::PageOutcomeKind::kDropped,
             /*queue_delay_slots=*/0, /*queue_depth=*/0, slot, client},
            {/*seq=*/2 + run, /*cycle=*/-1, /*cells=*/0, /*distance=*/-1},
@@ -288,18 +312,19 @@ void Pcnd::apply_phase(int worker, int worker_count, std::int64_t slot,
     // One tracker for the shard's ring pages and its generated pages, so
     // a terminal paged from both in one slot gets distinct seq values.
     detail::SeqTracker tracker;
+    detail::CounterTally tally(tallied_, static_cast<std::size_t>(ts));
     for (const std::size_t index :
          shard_batch_[static_cast<std::size_t>(ts)]) {
       const DaemonRequest& request = batch_[index];
       if (request.kind == DaemonRequest::Kind::kUpdate) {
-        apply_update(ts, request.update);
+        apply_update(ts, request.update, tally);
       } else {
         apply_page(ts, slot, request.page_id, request.terminal_id,
-                   request.client, workload, &tracker);
+                   request.client, workload, &tracker, tally);
       }
     }
     if (workload != nullptr) {
-      RequestSink sink(this, ts, slot, workload, &tracker);
+      RequestSink sink(this, ts, slot, workload, &tracker, &tally);
       workload->generate(ts, config_.terminal_shards, slot, sink);
     }
   }
@@ -312,6 +337,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
   for (int qs = worker; qs < config_.queue_shards; qs += worker_count) {
     QueueShard& shard = queue_shards_[static_cast<std::size_t>(qs)];
     const auto shard_index = static_cast<std::size_t>(qs);
+    detail::CounterTally tally(tallied_, shard_index);
 
     // Walk this slot's intents in fixed order — terminal shards 0..S-1,
     // list order within each — taking each one's flight-event run and
@@ -345,9 +371,20 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
     // Visit each queue once, in array order: enqueue its intents, then
     // drain it against the slot budget.  A queue's verdicts depend only
     // on its own arrivals, so the visit order decides nothing but the
-    // order of this slot's outcome events.
+    // order of this slot's outcome events.  Each visit starts from a
+    // chain of dependent loads (queue object, group heads and links, slab
+    // entries), so the loop prefetches them in stages ahead of the visit.
     std::size_t next = 0;
     for (std::uint32_t q = 0; q < queue_count; ++q) {
+      if (q + kPrefetchQueueAhead < queue_count) {
+        prefetch_object(shard.queues[q + kPrefetchQueueAhead]);
+      }
+      if (q + kPrefetchLinksAhead < queue_count) {
+        shard.queues[q + kPrefetchLinksAhead].prefetch_links();
+      }
+      if (q + kPrefetchEntriesAhead < queue_count) {
+        shard.queues[q + kPrefetchEntriesAhead].prefetch_entries();
+      }
       BoundedPagingQueue& queue = shard.queues[q];
       for (; next < shard.queue_end[q]; ++next) {
         const PageIntent& intent = *shard.staged[next].intent;
@@ -365,7 +402,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
           // admitted page's own queued event.  distance=-2 marks an
           // eviction drop apart from a tail drop's -1.
           const std::int64_t age = slot - evicted.enqueued_slot;
-          settle(pages_evicted_, qs,
+          settle(detail::kPageEvicted, tally, qs,
                  {evicted.page_id, evicted.terminal_id,
                   proto::PageOutcomeKind::kDropped, age,
                   static_cast<std::uint32_t>(queue.size()), slot,
@@ -378,7 +415,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
           case EnqueueResult::kEvicted:  // the incoming page was admitted
           case EnqueueResult::kQueued: {
             const auto depth = static_cast<std::int64_t>(queue.size());
-            pages_queued_.add(1, shard_index);
+            tally.add(detail::kPageQueued);
             shard.depth_tally.add(depth);
             shard.max_depth = std::max(shard.max_depth, depth);
             record_page_event(
@@ -386,8 +423,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
                 intent.terminal_id, intent.page_id,
                 {/*seq=*/1, /*cycle=*/-1, /*cells=*/depth,
                  /*distance=*/static_cast<std::int64_t>(
-                     intent.terminal_id %
-                     static_cast<std::uint64_t>(config_.queue.groups))},
+                     queue.group_of(intent.terminal_id))},
                 /*found=*/false);
             break;
           }
@@ -395,10 +431,10 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
             // The terminal is already pending here; its lifetime was
             // renewed and the original submit's outcome will cover this
             // one too.
-            pages_duplicate_.add(1, shard_index);
+            tally.add(detail::kPageDuplicate);
             break;
           case EnqueueResult::kFull:
-            settle(pages_dropped_, qs,
+            settle(detail::kPageDropped, tally, qs,
                    {intent.page_id, intent.terminal_id,
                     proto::PageOutcomeKind::kDropped, /*queue_delay_slots=*/0,
                     static_cast<std::uint32_t>(queue.size()), slot,
@@ -419,7 +455,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
         const std::int64_t delay = slot - served.page.enqueued_slot;
         cell_delay_sum += delay;
         shard.delay_tally.add(delay);
-        settle(pages_served_, qs,
+        settle(detail::kPageServed, tally, qs,
                {served.page.page_id, served.page.terminal_id,
                 proto::PageOutcomeKind::kServed, delay,
                 static_cast<std::uint32_t>(served.depth_before), slot,
@@ -431,7 +467,7 @@ void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
       }
       for (const PendingPage& expired : shard.expired_scratch) {
         const std::int64_t age = slot - expired.enqueued_slot;
-        settle(pages_expired_, qs,
+        settle(detail::kPageExpired, tally, qs,
                {expired.page_id, expired.terminal_id,
                 proto::PageOutcomeKind::kExpired, age,
                 static_cast<std::uint32_t>(queue.size()), slot,
@@ -564,16 +600,16 @@ std::string Pcnd::timeseries_encoded() const {
   return obs::encode_timeseries_string(timeseries_->data());
 }
 
-void Pcnd::settle(obs::Counter& verdict, int shard,
-                  const PageOutcomeEvent& outcome, const FlightFields& flight,
+void Pcnd::settle(detail::TalliedCounter verdict, detail::CounterTally& tally,
+                  int shard, const PageOutcomeEvent& outcome,
+                  const FlightFields& flight,
                   std::vector<PageOutcomeEvent>& outcomes,
                   SlotWorkload* workload) {
-  const auto cell = static_cast<std::size_t>(shard);
   const bool served = outcome.kind == proto::PageOutcomeKind::kServed;
-  verdict.add(1, cell);
+  tally.add(verdict);
   if (!served || (config_.sla_delay_slots > 0 &&
                   outcome.queue_delay_slots > config_.sla_delay_slots)) {
-    sla_violations_.add(1, cell);
+    tally.add(detail::kSlaViolation);
   }
   const obs::FlightEventType type =
       served ? obs::FlightEventType::kPageServed

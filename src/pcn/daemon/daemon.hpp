@@ -36,6 +36,9 @@
 //     enqueueing its intents and draining it against the slot budget.
 //   * Per-shard metric cells (MetricsRegistry) and per-shard flight/
 //     outcome buffers, merged in FINALIZE (serial) in shard order.
+//     APPLY and DRAIN count into per-shard tallies of plain integers
+//     (detail::CounterTally, detail::SlotTally) that reach the registry
+//     once per shard per slot, so counters are exact at slot boundaries.
 //     APPLY and DRAIN each run as one fork-join on a ShardPool
 //     (common/shard_pool.hpp) whose worker threads persist across slots
 //     and run_slots calls.
@@ -44,6 +47,7 @@
 // the rejection is counted (daemon.request.rejected_ring_full).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -51,6 +55,7 @@
 #include <vector>
 
 #include "pcn/capacity/paging_capacity.hpp"
+#include "pcn/common/divisor.hpp"
 #include "pcn/common/params.hpp"
 #include "pcn/common/shard_pool.hpp"
 #include "pcn/daemon/delay_planner.hpp"
@@ -172,6 +177,50 @@ struct SlotTally {
             std::vector<std::int64_t>* cumulative);
 };
 
+/// The request and verdict counters that APPLY and DRAIN count per shard
+/// in a CounterTally.
+enum TalliedCounter : std::size_t {
+  kRequestUpdate,
+  kRequestPage,
+  kUpdateApplied,
+  kUpdateStale,
+  kPageQueued,
+  kPageDuplicate,
+  kPageDropped,
+  kPageEvicted,
+  kPageExpired,
+  kPageServed,
+  kPageUnknown,
+  kSlaViolation,
+  kTalliedCounters
+};
+
+using TalliedCounters = std::array<obs::Counter, kTalliedCounters>;
+
+/// One shard's counts of the tallied counters over its work in one phase,
+/// kept in plain integers and added to the registry with one add per
+/// counter when the tally goes out of scope at the end of that work (a
+/// throwing phase included), so no per-request write is atomic.
+class CounterTally {
+ public:
+  CounterTally(TalliedCounters& counters, std::size_t shard)
+      : counters_(counters), shard_(shard) {}
+  ~CounterTally() {
+    for (std::size_t i = 0; i < kTalliedCounters; ++i) {
+      if (counts_[i] != 0) counters_[i].add(counts_[i], shard_);
+    }
+  }
+  CounterTally(const CounterTally&) = delete;
+  CounterTally& operator=(const CounterTally&) = delete;
+
+  void add(TalliedCounter counter) { ++counts_[counter]; }
+
+ private:
+  TalliedCounters& counters_;
+  std::size_t shard_;
+  std::array<std::int64_t, kTalliedCounters> counts_{};
+};
+
 }  // namespace detail
 
 /// Valid only inside an APPLY phase; routes workload-generated requests
@@ -184,14 +233,16 @@ class RequestSink {
  private:
   friend class Pcnd;
   RequestSink(Pcnd* daemon, int shard, std::int64_t slot,
-              SlotWorkload* workload, detail::SeqTracker* tracker)
+              SlotWorkload* workload, detail::SeqTracker* tracker,
+              detail::CounterTally* tally)
       : daemon_(daemon), shard_(shard), slot_(slot), workload_(workload),
-        tracker_(tracker) {}
+        tracker_(tracker), tally_(tally) {}
   Pcnd* daemon_;
   int shard_;  ///< terminal shard this sink feeds
   std::int64_t slot_;
   SlotWorkload* workload_;
   detail::SeqTracker* tracker_;  ///< the shard's APPLY tracker, shared
+  detail::CounterTally* tally_;  ///< the shard's APPLY tally, shared
 };
 
 /// A closed-loop traffic source driven from inside the slot loop.
@@ -352,16 +403,14 @@ class Pcnd {
   };
 
   int terminal_shard_of(std::uint64_t terminal_id) const {
-    return static_cast<int>(
-        terminal_id % static_cast<std::uint64_t>(config_.terminal_shards));
+    return static_cast<int>(terminal_shard_divisor_.remainder(terminal_id));
   }
   /// Key within the terminal's shard table.
   std::uint64_t terminal_key(std::uint64_t terminal_id) const {
-    return terminal_id / static_cast<std::uint64_t>(config_.terminal_shards);
+    return terminal_shard_divisor_.quotient(terminal_id);
   }
   int queue_shard_of(geometry::Cell cell) const {
-    return static_cast<int>(CellHash{}(cell) %
-                            static_cast<std::size_t>(config_.queue_shards));
+    return static_cast<int>(queue_shard_divisor_.remainder(CellHash{}(cell)));
   }
 
   void ingest_phase();
@@ -371,10 +420,12 @@ class Pcnd {
                    SlotWorkload* workload);
   void finalize_phase();
 
-  void apply_update(int shard, const proto::LocationUpdate& update);
+  void apply_update(int shard, const proto::LocationUpdate& update,
+                    detail::CounterTally& tally);
   void apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
                   std::uint64_t terminal_id, std::uint32_t client,
-                  SlotWorkload* workload, detail::SeqTracker* tracker);
+                  SlotWorkload* workload, detail::SeqTracker* tracker,
+                  detail::CounterTally& tally);
 
   /// The flight-event fields that each page-event site supplies.
   struct FlightFields {
@@ -384,12 +435,13 @@ class Pcnd {
     std::int64_t distance = -1;
   };
 
-  /// The one path every page verdict takes: adds `verdict` (its counter),
+  /// The one path every page verdict takes: counts `verdict` in `tally`,
   /// and daemon.page.sla_violation for a failure or a late serve; records
   /// the sampled flight event, typed by outcome.kind, on shard `shard`;
   /// keeps `outcome` in `outcomes` if collect_outcomes; tells `workload`.
-  void settle(obs::Counter& verdict, int shard,
-              const PageOutcomeEvent& outcome, const FlightFields& flight,
+  void settle(detail::TalliedCounter verdict, detail::CounterTally& tally,
+              int shard, const PageOutcomeEvent& outcome,
+              const FlightFields& flight,
               std::vector<PageOutcomeEvent>& outcomes,
               SlotWorkload* workload);
 
@@ -399,6 +451,9 @@ class Pcnd {
                          bool found);
 
   PcndConfig config_;
+  /// Divide by config_.terminal_shards and config_.queue_shards.
+  Divisor terminal_shard_divisor_;
+  Divisor queue_shard_divisor_;
   RequestRing ring_;
   obs::MetricsRegistry registry_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
@@ -441,19 +496,10 @@ class Pcnd {
   std::vector<LiveQueueStats::CellDepth> live_stats_scratch_;
 
   // Metric handles (resolved once; per-shard cells keep workers apart).
-  obs::Counter requests_update_;
-  obs::Counter requests_page_;
+  /// Indexed by detail::TalliedCounter; APPLY and DRAIN add to them
+  /// through per-shard CounterTally objects, submit() directly.
+  detail::TalliedCounters tallied_;
   obs::Counter requests_rejected_;
-  obs::Counter updates_applied_;
-  obs::Counter updates_stale_;
-  obs::Counter pages_queued_;
-  obs::Counter pages_duplicate_;
-  obs::Counter pages_dropped_;
-  obs::Counter pages_evicted_;
-  obs::Counter pages_expired_;
-  obs::Counter pages_served_;
-  obs::Counter pages_unknown_;
-  obs::Counter sla_violations_;
   obs::Counter slots_run_;
   obs::Counter wall_ns_;
   obs::Counter plan_widen_;

@@ -102,6 +102,7 @@ ClosedLoopWorkload::ClosedLoopWorkload(const ClosedLoopConfig& config)
 
 void ClosedLoopWorkload::lay_out(int shard_count) {
   shard_count_ = shard_count;
+  shard_divisor_ = Divisor(static_cast<std::uint64_t>(shard_count));
   const auto stride = static_cast<std::uint64_t>(shard_count);
   const auto region = static_cast<std::uint64_t>(config_.region);
   shards_.resize(static_cast<std::size_t>(shard_count));
@@ -203,9 +204,9 @@ void ClosedLoopWorkload::on_outcome(std::uint64_t terminal_id,
                                     proto::PageOutcomeKind kind,
                                     std::int64_t /*slot*/) {
   PCN_ASSERT(terminal_id < config_.terminals && shard_count_ > 0);
-  const auto stride = static_cast<std::uint64_t>(shard_count_);
   std::uint8_t& flight =
-      shards_[terminal_id % stride].in_flight[terminal_id / stride];
+      shards_[shard_divisor_.remainder(terminal_id)]
+          .in_flight[shard_divisor_.quotient(terminal_id)];
   PCN_ASSERT(flight == kInFlight);
   // kRejected only reaches socket-fed loops (a full request ring answers
   // the submit immediately); like any verdict it frees the terminal.

@@ -54,6 +54,7 @@
 #include <mutex>
 #include <vector>
 
+#include "pcn/common/divisor.hpp"
 #include "pcn/daemon/daemon.hpp"
 #include "pcn/daemon/load_gen_walk.hpp"
 
@@ -151,6 +152,7 @@ class ClosedLoopWorkload final : public SlotWorkload {
   const char* walk_name_;
   std::once_flag layout_once_;
   int shard_count_ = 0;  ///< fixed by the first generate call
+  Divisor shard_divisor_;  ///< divides by shard_count_
   std::vector<Shard> shards_;
 };
 

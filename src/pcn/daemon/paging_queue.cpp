@@ -12,6 +12,7 @@ BoundedPagingQueue::BoundedPagingQueue(const PagingQueueConfig& config)
              "BoundedPagingQueue: lifetime_slots must be >= 0");
   PCN_EXPECT(config_.groups >= 1, "BoundedPagingQueue: groups must be >= 1");
   groups_.resize(static_cast<std::size_t>(config_.groups));
+  group_divisor_ = Divisor(static_cast<std::uint64_t>(config_.groups));
   const std::size_t spill = config_.max_pending % kSlabStep;
   slab_limit_ = spill == 0 || config_.max_pending > SIZE_MAX - kSlabStep
                     ? config_.max_pending
@@ -19,7 +20,7 @@ BoundedPagingQueue::BoundedPagingQueue(const PagingQueueConfig& config)
 }
 
 bool BoundedPagingQueue::contains(std::uint64_t terminal_id) const {
-  const GroupList& group = groups_[terminal_id % groups_.size()];
+  const GroupList& group = groups_[group_of(terminal_id)];
   for (std::uint32_t i = group.head; i != kNil; i = next_[i]) {
     if (slab_[i].terminal_id == terminal_id) return true;
   }
@@ -209,7 +210,7 @@ int BoundedPagingQueue::drain(std::int64_t slot, int budget,
       served->push_back(entry);
       ++served_count;
     }
-    g = (g + 1) % config_.groups;
+    g = g + 1 == config_.groups ? 0 : g + 1;
   }
   if (budget > 0) next_group_ = g;
   return served_count;

@@ -34,9 +34,11 @@
 // interleaving.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "pcn/common/divisor.hpp"
 #include "pcn/common/error.hpp"
 
 namespace pcn::daemon {
@@ -122,6 +124,11 @@ class BoundedPagingQueue {
   /// Whether `terminal_id` already has a page pending.
   bool contains(std::uint64_t terminal_id) const;
 
+  /// The paging group of `terminal_id`: terminal_id % groups.
+  std::size_t group_of(std::uint64_t terminal_id) const {
+    return static_cast<std::size_t>(group_divisor_.remainder(terminal_id));
+  }
+
   /// Enqueues a page observed in slot `slot`.  A terminal already pending
   /// is deduplicated: its expiry is refreshed (and the stored page/client
   /// keep their original values and FIFO position), result kRefreshed.
@@ -147,8 +154,38 @@ class BoundedPagingQueue {
   /// Slab growth step, in entries.
   static constexpr std::size_t kSlabStep = 8;
 
+  /// Prefetch stages for a caller that visits many queues in a row, each
+  /// issued a few queues ahead of the visit once this object's own lines
+  /// are cached: prefetch_links() pulls the group heads and the link
+  /// array, and prefetch_entries() the slab's entry lines.  The whole
+  /// slab, not just the group heads: a dedup walk, a drain and a reused
+  /// free entry touch pending entries all over it.
+  void prefetch_links() const {
+    __builtin_prefetch(groups_.data());
+    const std::size_t bytes = std::min(next_.size() * sizeof(std::uint32_t),
+                                       kPrefetchLinkLines * kLineBytes);
+    prefetch_lines(next_.data(), bytes);
+  }
+  void prefetch_entries() const {
+    const std::size_t bytes = std::min(slab_.size() * sizeof(PendingPage),
+                                       kPrefetchEntryLines * kLineBytes);
+    prefetch_lines(slab_.data(), bytes);
+  }
+
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::size_t kLineBytes = 64;
+  /// Lines the prefetch stages pull at most: a 64-deep queue's whole link
+  /// array and 42 slab entries, the front of a deeper queue's arrays.
+  static constexpr std::size_t kPrefetchLinkLines = 4;
+  static constexpr std::size_t kPrefetchEntryLines = 32;
+
+  static void prefetch_lines(const void* data, std::size_t bytes) {
+    const char* first = static_cast<const char*>(data);
+    for (std::size_t offset = 0; offset < bytes; offset += kLineBytes) {
+      __builtin_prefetch(first + offset);
+    }
+  }
 
   /// One paging group's FIFO: slab indices of its first and last entry.
   struct GroupList {
@@ -169,13 +206,14 @@ class BoundedPagingQueue {
                          std::vector<PendingPage>* expired);
 
   GroupList& group_for(std::uint64_t terminal_id) {
-    return groups_[terminal_id % groups_.size()];
+    return groups_[group_of(terminal_id)];
   }
 
   PagingQueueConfig config_;
   std::vector<PendingPage> slab_;
   std::vector<std::uint32_t> next_;  ///< [entry] next in group or free list
   std::vector<GroupList> groups_;
+  Divisor group_divisor_;            ///< divides by config_.groups
   std::uint32_t free_ = kNil;        ///< head of the free-entry list
   std::size_t slab_limit_ = 0;       ///< max_pending rounded up to the step
   std::size_t size_ = 0;

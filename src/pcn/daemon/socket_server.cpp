@@ -312,9 +312,8 @@ void SocketServer::handle_frame(Connection& connection,
       outcome.page_id = request.page_id;
       outcome.terminal_id = request.terminal_id;
       outcome.outcome = proto::PageOutcomeKind::kRejected;
-      const std::vector<std::uint8_t> reply = proto::encode(outcome);
       const std::lock_guard<std::mutex> write_lock(connection.write_mutex);
-      if (stage_frame(connection, reply)) {
+      if (stage_outcome(connection, outcome)) {
         frames_out_.increment(client);
         pump_outbox(connection);
       }
@@ -322,23 +321,25 @@ void SocketServer::handle_frame(Connection& connection,
   }
 }
 
-bool SocketServer::stage_frame(Connection& connection,
-                               std::span<const std::uint8_t> frame) {
-  if (connection.outbox.size() + sizeof(std::uint32_t) + frame.size() >
-      kMaxOutboxBytes) {
+bool SocketServer::stage_outcome(Connection& connection,
+                                 const proto::PageOutcome& outcome) {
+  std::vector<std::uint8_t>& outbox = connection.outbox;
+  const std::size_t start = outbox.size();
+  outbox.resize(start + sizeof(std::uint32_t));  // length, patched below
+  proto::encode_into(outcome, outbox);
+  if (outbox.size() > kMaxOutboxBytes) {
     // The client stopped reading a long time ago; failing the connection
     // beats unbounded buffering (and beats blocking the slot loop).
+    outbox.resize(start);
     connection.write_failed.store(true, std::memory_order_release);
     return false;
   }
-  const auto length = static_cast<std::uint32_t>(frame.size());
-  const std::uint8_t prefix[4] = {
-      static_cast<std::uint8_t>(length), static_cast<std::uint8_t>(length >> 8),
-      static_cast<std::uint8_t>(length >> 16),
-      static_cast<std::uint8_t>(length >> 24)};
-  connection.outbox.insert(connection.outbox.end(), prefix, prefix + 4);
-  connection.outbox.insert(connection.outbox.end(), frame.begin(),
-                           frame.end());
+  const auto length =
+      static_cast<std::uint32_t>(outbox.size() - start - sizeof(std::uint32_t));
+  outbox[start] = static_cast<std::uint8_t>(length);
+  outbox[start + 1] = static_cast<std::uint8_t>(length >> 8);
+  outbox[start + 2] = static_cast<std::uint8_t>(length >> 16);
+  outbox[start + 3] = static_cast<std::uint8_t>(length >> 24);
   return true;
 }
 
@@ -408,9 +409,8 @@ std::size_t SocketServer::flush_outcomes() {
     outcome.queue_delay_slots =
         static_cast<std::uint64_t>(event.queue_delay_slots);
     outcome.queue_depth = event.queue_depth;
-    const std::vector<std::uint8_t> frame = proto::encode(outcome);
     const std::lock_guard<std::mutex> write_lock(connection.write_mutex);
-    if (stage_frame(connection, frame)) {
+    if (stage_outcome(connection, outcome)) {
       frames_out_.increment(event.client);
       ++staged;
     }

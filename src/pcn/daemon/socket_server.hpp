@@ -109,7 +109,7 @@ class SocketServer {
     std::size_t buffered = 0;
     std::mutex write_mutex;
     /// Length-prefixed frames the socket has not accepted yet; bounded
-    /// by kMaxOutboxBytes (stage_frame fails the connection beyond it).
+    /// by kMaxOutboxBytes (stage_outcome fails the connection beyond it).
     std::vector<std::uint8_t> outbox;
     /// Set by the I/O thread once the fd has left the epoll set; from
     /// then on the I/O thread never touches this connection again.
@@ -132,10 +132,11 @@ class SocketServer {
   /// Final non-blocking drain of one connection's outbox, bounded to
   /// ~100 ms; used by stop() so staged verdicts reach a live reader.
   void drain_outbox_bounded(Connection& connection);
-  /// Appends one length-prefixed frame to the outbox (write_mutex held
-  /// by caller); fails the connection instead of exceeding the bound.
-  bool stage_frame(Connection& connection,
-                   std::span<const std::uint8_t> frame);
+  /// Encodes one length-prefixed PageOutcome frame straight into the
+  /// outbox (write_mutex held by caller); fails the connection instead of
+  /// exceeding the bound.
+  bool stage_outcome(Connection& connection,
+                     const proto::PageOutcome& outcome);
   /// Sends outbox bytes without blocking (write_mutex held by caller);
   /// EAGAIN leaves the remainder staged, a fatal error (EPIPE — client
   /// gone) fails the connection.

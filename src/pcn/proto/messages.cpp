@@ -8,13 +8,19 @@ void put_header(WireWriter& writer, MessageType type) {
   writer.put_u8(static_cast<std::uint8_t>(type));
 }
 
-std::vector<std::uint8_t> seal(WireWriter writer) {
-  std::vector<std::uint8_t> frame = writer.take();
-  const std::uint32_t crc = crc32(frame);
+/// Appends the CRC-32 trailer of the frame that starts at frame[start].
+void append_crc(std::vector<std::uint8_t>& frame, std::size_t start) {
+  const std::uint32_t crc =
+      crc32(std::span<const std::uint8_t>(frame).subspan(start));
   frame.push_back(static_cast<std::uint8_t>(crc));
   frame.push_back(static_cast<std::uint8_t>(crc >> 8));
   frame.push_back(static_cast<std::uint8_t>(crc >> 16));
   frame.push_back(static_cast<std::uint8_t>(crc >> 24));
+}
+
+std::vector<std::uint8_t> seal(WireWriter writer) {
+  std::vector<std::uint8_t> frame = writer.take();
+  append_crc(frame, 0);
   return frame;
 }
 
@@ -100,14 +106,22 @@ std::vector<std::uint8_t> encode(const PageSubmit& message) {
 }
 
 std::vector<std::uint8_t> encode(const PageOutcome& message) {
-  WireWriter writer;
+  std::vector<std::uint8_t> frame;
+  encode_into(message, frame);
+  return frame;
+}
+
+void encode_into(const PageOutcome& message, std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  WireWriter writer(std::move(out));
   put_header(writer, MessageType::kPageOutcome);
   writer.put_varint(message.page_id);
   writer.put_varint(message.terminal_id);
   writer.put_u8(static_cast<std::uint8_t>(message.outcome));
   writer.put_varint(message.queue_delay_slots);
   writer.put_varint(message.queue_depth);
-  return seal(std::move(writer));
+  out = writer.take();
+  append_crc(out, start);
 }
 
 MessageType peek_type(std::span<const std::uint8_t> frame) {

@@ -110,6 +110,10 @@ std::vector<std::uint8_t> encode(const PageResponse& message);
 std::vector<std::uint8_t> encode(const PageSubmit& message);
 std::vector<std::uint8_t> encode(const PageOutcome& message);
 
+/// Appends one PageOutcome frame to `out` (the socket front end encodes
+/// straight into a connection's outbox); encode(PageOutcome) wraps it.
+void encode_into(const PageOutcome& message, std::vector<std::uint8_t>& out);
+
 /// Peeks the message type of a framed buffer.  Checks the header only
 /// (length >= 6, version, a known type), not the CRC: the type picks a
 /// decoder, and every decoder verifies the CRC.

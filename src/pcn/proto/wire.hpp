@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pcn/common/error.hpp"
@@ -29,6 +30,11 @@ class DecodeError : public InvalidArgument {
 /// Appends wire primitives to a byte buffer.
 class WireWriter {
  public:
+  WireWriter() = default;
+  /// Appends after `buffer`'s bytes; take() hands the whole buffer back.
+  explicit WireWriter(std::vector<std::uint8_t> buffer)
+      : buffer_(std::move(buffer)) {}
+
   void put_u8(std::uint8_t value);
 
   /// LEB128 varint (1-10 bytes).

@@ -241,8 +241,8 @@ TEST(AdminIntrospection, WindowDropRateCountsEvictions) {
   AdminServer admin(&daemon, test_socket_path() + ".window");
 
   // The first scrape samples the all-zero registry.  A scrape within
-  // 1 s of it samples nothing, so its windows have no base yet; the last
-  // scrape, past 1 s, samples the finished run.
+  // 250 ms of it samples nothing, so its windows have no base yet; the
+  // last scrape, past 1 s, samples the finished run.
   const auto first_scrape = std::chrono::steady_clock::now();
   (void)admin.render_live_snapshot();
   {
@@ -279,8 +279,8 @@ TEST(AdminIntrospection, WindowDropRateCountsEvictions) {
 }
 
 TEST(AdminIntrospection, WindowsFillWithoutScrapes) {
-  // The server thread samples the history about once a second on its own,
-  // so a run with no scrape until its end still has a window to read.
+  // The server thread samples the history on its own, so a run with no
+  // scrape until its end still has a window to read.
   Pcnd daemon(make_config(2, true));
   AdminServer admin(&daemon, test_socket_path() + ".unscraped");
   admin.start();
@@ -304,6 +304,36 @@ TEST(AdminIntrospection, WindowsFillWithoutScrapes) {
   ASSERT_NE(ten_seconds, nullptr);
   EXPECT_GT(ten_seconds->number_or("span_ns", 0.0), 0.0);
   EXPECT_GT(ten_seconds->number_or("pages_per_sec", 0.0), 0.0);
+}
+
+TEST(AdminIntrospection, OneSecondWindowHasABase) {
+  // The history samples more often than once a second, so a one-shot
+  // scrape a few seconds into a run finds an earlier sample within 1 s
+  // of the newest and the 1s window covers a real span.
+  Pcnd daemon(make_config(2, true));
+  AdminServer admin(&daemon, test_socket_path() + ".one_second");
+  admin.start();
+  const auto start = std::chrono::steady_clock::now();
+  {
+    ClosedLoopWorkload workload(make_workload_config());
+    while (std::chrono::steady_clock::now() - start <
+           std::chrono::milliseconds(3000)) {
+      daemon.run_slots(1, &workload);
+    }
+  }
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json(admin.render_live_snapshot(), &doc, &error))
+      << error;
+  admin.stop();
+
+  const obs::JsonValue* windows = doc.find("windows");
+  ASSERT_NE(windows, nullptr);
+  const obs::JsonValue* one_second = windows->find("1s");
+  ASSERT_NE(one_second, nullptr);
+  const double span_ns = one_second->number_or("span_ns", 0.0);
+  EXPECT_GT(span_ns, 0.0);
+  EXPECT_LE(span_ns, 1e9);
 }
 
 }  // namespace

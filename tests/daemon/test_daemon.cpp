@@ -553,6 +553,137 @@ TEST(Pcnd, OutcomeStreamIsIdenticalAcrossThreadCounts) {
   }
 }
 
+/// A run at shard and group counts that are not powers of two, so every
+/// shard, key and group index takes the reciprocal divide's general path:
+/// the outcome stream, every counter but wall time, and the .series
+/// capture, each in one string.
+struct ShapedRun {
+  std::string outcomes;
+  std::string counters;
+  std::string series;
+};
+
+/// The outcome-stream daemon at 3 terminal shards, 5 queue shards and 3
+/// paging groups.
+PcndConfig shaped_config(int threads, AdmissionPolicy policy) {
+  PcndConfig config;
+  config.threads = threads;
+  config.terminal_shards = 3;
+  config.queue_shards = 5;
+  config.queue.groups = 3;
+  config.collect_outcomes = true;
+  config.capacity = capacity::PagingCapacityModel(1, 1.0);
+  config.queue.max_pending = 6;
+  config.queue.lifetime_slots = 10;
+  config.queue.admission = policy;
+  config.sla_delay_slots = 4;
+  return config;
+}
+
+ShapedRun shaped_run(int threads, AdmissionPolicy policy) {
+  PcndConfig config = shaped_config(threads, policy);
+  config.timeseries_every_slots = 4;
+  Pcnd daemon(config);
+  ClosedLoopWorkload workload(overload_load());
+
+  ShapedRun run;
+  std::vector<PageOutcomeEvent> outcomes;
+  for (int slot = 0; slot < 48; ++slot) {
+    daemon.run_slots(1, &workload);
+    outcomes.clear();
+    daemon.drain_outcomes(&outcomes);
+    for (const PageOutcomeEvent& event : outcomes) {
+      run.outcomes += "?SDER"[static_cast<int>(event.kind)];
+      run.outcomes += ' ' + std::to_string(event.page_id) + ' ' +
+                      std::to_string(event.terminal_id) + ' ' +
+                      std::to_string(event.queue_delay_slots) + ' ' +
+                      std::to_string(event.queue_depth) + ' ' +
+                      std::to_string(event.slot) + '\n';
+    }
+  }
+  for (const auto& counter : daemon.metrics_registry().snapshot().counters) {
+    if (counter.name == "daemon.run.wall_ns") continue;
+    run.counters += counter.name + "=" + std::to_string(counter.value) + "\n";
+  }
+  run.series = daemon.timeseries_encoded();
+  return run;
+}
+
+TEST(Pcnd, NonPowerOfTwoShapesAreIdenticalAcrossThreadCounts) {
+  for (const AdmissionPolicy policy :
+       {AdmissionPolicy::kDropNewest, AdmissionPolicy::kDropOldest,
+        AdmissionPolicy::kPriorityDelayBound}) {
+    SCOPED_TRACE(to_string(policy));
+    const ShapedRun one = shaped_run(1, policy);
+    const ShapedRun four = shaped_run(4, policy);
+    EXPECT_EQ(one.outcomes, four.outcomes);
+    EXPECT_EQ(one.counters, four.counters);
+    EXPECT_EQ(one.series, four.series);
+    EXPECT_NE(one.outcomes.find('S'), std::string::npos);
+    EXPECT_NE(one.outcomes.find('D'), std::string::npos);
+  }
+}
+
+// Counters are tallied per shard and published at the end of each
+// shard's phase work, so at every slot boundary they must agree with the
+// verdicts the slot's outcome stream carries.
+TEST(Pcnd, PageCountersMatchTheOutcomeStreamEverySlot) {
+  for (const AdmissionPolicy policy :
+       {AdmissionPolicy::kDropNewest, AdmissionPolicy::kDropOldest}) {
+    SCOPED_TRACE(to_string(policy));
+    const PcndConfig config = shaped_config(4, policy);
+    Pcnd daemon(config);
+    ClosedLoopWorkload workload(overload_load());
+    // An unknown terminal's page settles in APPLY, in a first slot the
+    // workload sits out; the closed loop's pages settle in DRAIN.
+    ASSERT_TRUE(daemon.submit(page_request(1, 1'000'000)));
+
+    std::int64_t served = 0, failed = 0, expired = 0, violations = 0;
+    std::vector<PageOutcomeEvent> outcomes;
+    for (int slot = 0; slot < 48; ++slot) {
+      SCOPED_TRACE(slot);
+      daemon.run_slots(1, slot == 0 ? nullptr : &workload);
+      outcomes.clear();
+      daemon.drain_outcomes(&outcomes);
+      for (const PageOutcomeEvent& event : outcomes) {
+        const bool late = event.queue_delay_slots > config.sla_delay_slots;
+        switch (event.kind) {
+          case proto::PageOutcomeKind::kServed:
+            ++served;
+            violations += late ? 1 : 0;
+            break;
+          case proto::PageOutcomeKind::kExpired:
+            ++expired;
+            ++violations;
+            break;
+          default:
+            ++failed;
+            ++violations;
+            break;
+        }
+      }
+      const obs::MetricsSnapshot snapshot =
+          daemon.metrics_registry().snapshot();
+      const auto count = [&](const char* name) {
+        return snapshot.counter_value(name);
+      };
+      EXPECT_EQ(count("daemon.page.served"), served);
+      EXPECT_EQ(count("daemon.page.expired"), expired);
+      EXPECT_EQ(count("daemon.page.dropped") + count("daemon.page.evicted") +
+                    count("daemon.page.unknown_terminal"),
+                failed);
+      EXPECT_EQ(count("daemon.page.sla_violation"), violations);
+      EXPECT_EQ(count("daemon.request.page"),
+                count("daemon.page.queued") + count("daemon.page.duplicate") +
+                    count("daemon.page.dropped") +
+                    count("daemon.page.unknown_terminal"));
+      EXPECT_EQ(count("daemon.page.unknown_terminal"), 1);
+    }
+    EXPECT_GT(served, 0);
+    EXPECT_GT(failed, 1);
+  }
+}
+
 // The two walks take different code paths only through their arithmetic:
 // the shapes where that arithmetic has edges must emit the same requests.
 TEST(Pcnd, ClosedLoopWalksAgreeAtTheEdgesOfTheConfigSpace) {
@@ -889,9 +1020,17 @@ TEST(Pcnd, FailedPhaseRethrowsAndDoesNotAdvanceTheSlot) {
     return decltype(obs::MetricsSnapshot{}.counters[0].value){};
   };
   const auto wall_before = wall_ns();
+  // A ring update for terminal 17 (shard 1) is applied before shard 1's
+  // generate throws in the same APPLY; what the failed phase counted is
+  // still published.
+  ASSERT_TRUE(daemon.submit(update_request(17, 1, {0, 0})));
   ThrowingWorkload workload;
   EXPECT_THROW(daemon.run_slots(3, &workload), std::runtime_error);
   EXPECT_EQ(daemon.now(), 1);
+  const obs::MetricsSnapshot failed = daemon.metrics_registry().snapshot();
+  EXPECT_EQ(failed.counter_value("daemon.request.update"), 1);
+  EXPECT_EQ(failed.counter_value("daemon.update.applied"), 1);
+  EXPECT_TRUE(daemon.terminal_info(17).known);
   // The failed call's wall time is counted too.
   EXPECT_GT(wall_ns(), wall_before);
   // The daemon and its workers stay usable after the failure.

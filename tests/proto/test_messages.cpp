@@ -173,6 +173,52 @@ TEST(Messages, EncodedSizeAgreesWithEncode) {
             encode(sample_response()).size());
 }
 
+// encode_into appends the very frame encode() returns, for every verdict
+// kind, and that frame is the layout messages.hpp documents, built here
+// field by field.
+TEST(Messages, PageOutcomeEncodesIntoAnExistingBuffer) {
+  for (const PageOutcomeKind kind :
+       {PageOutcomeKind::kServed, PageOutcomeKind::kDropped,
+        PageOutcomeKind::kExpired, PageOutcomeKind::kRejected}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    PageOutcome message;
+    message.page_id = 300;            // two varint bytes
+    message.terminal_id = 1u << 31;   // five
+    message.outcome = kind;
+    message.queue_delay_slots = 7;
+    message.queue_depth = 129;
+
+    WireWriter fields;
+    fields.put_u8(kProtocolVersion);
+    fields.put_u8(static_cast<std::uint8_t>(MessageType::kPageOutcome));
+    fields.put_varint(message.page_id);
+    fields.put_varint(message.terminal_id);
+    fields.put_u8(static_cast<std::uint8_t>(kind));
+    fields.put_varint(message.queue_delay_slots);
+    fields.put_varint(message.queue_depth);
+    std::vector<std::uint8_t> expected = fields.take();
+    const std::uint32_t crc = crc32(expected);
+    for (int shift = 0; shift < 32; shift += 8) {
+      expected.push_back(static_cast<std::uint8_t>(crc >> shift));
+    }
+    EXPECT_EQ(encode(message), expected);
+    EXPECT_EQ(encoded_size(message), expected.size());
+
+    // Appending leaves the bytes already there alone.
+    const std::vector<std::uint8_t> prefix = {0xaa, 0x00, 0xff};
+    std::vector<std::uint8_t> out = prefix;
+    encode_into(message, out);
+    encode_into(message, out);
+    std::vector<std::uint8_t> twice = prefix;
+    twice.insert(twice.end(), expected.begin(), expected.end());
+    twice.insert(twice.end(), expected.begin(), expected.end());
+    EXPECT_EQ(out, twice);
+    EXPECT_EQ(decode_page_outcome(std::span<const std::uint8_t>(out).subspan(
+                  prefix.size(), expected.size())),
+              message);
+  }
+}
+
 TEST(Messages, FuzzedRandomBuffersNeverCrash) {
   stats::Rng rng(4);
   for (int trial = 0; trial < 2000; ++trial) {

@@ -9,9 +9,12 @@
 #      thread-reuse pins of Network and pcnd), the socket front end's
 #      suite (its I/O thread against the slot loop, hostile clients), and
 #      pcnd's slot-loop determinism tests (bit-identical counters and
-#      outcome streams across thread counts, a failed phase): the closed-
-#      loop generator's in-flight state is written by DRAIN workers'
-#      on_outcome and read by APPLY workers in the next slot,
+#      outcome streams across thread counts, at non-power-of-two shard
+#      shapes too, counters that match the outcome stream at every slot
+#      boundary, a failed phase): the closed-loop generator's in-flight
+#      state is written by DRAIN workers' on_outcome and read by APPLY
+#      workers in the next slot, and each shard's counter tally is
+#      published by whichever worker ran the shard,
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
 #      the terminal-DB hostile-id and property suites (ids near 2^64,
@@ -101,6 +104,8 @@ tsan_tests='NetworkParallel|MetricsRegistry|AdminIntrospection|ShardPool'
 tsan_tests+='|ThreadReuse|SocketServer'
 tsan_tests+='|Pcnd\.(BitIdenticalResultsAcrossThreadCounts'
 tsan_tests+='|OutcomeStreamIsIdenticalAcrossThreadCounts'
+tsan_tests+='|NonPowerOfTwoShapesAreIdenticalAcrossThreadCounts'
+tsan_tests+='|PageCountersMatchTheOutcomeStreamEverySlot'
 tsan_tests+='|FailedPhaseRethrowsAndDoesNotAdvanceTheSlot)'
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   ctest --test-dir build-tsan -R "$tsan_tests" --output-on-failure -j "$jobs"
