@@ -50,13 +50,11 @@
 #include "pcn/sim/metrics.hpp"
 #include "pcn/sim/mobility.hpp"
 #include "pcn/sim/network.hpp"
-#include "pcn/sim/observer.hpp"
 #include "pcn/sim/paging_policy.hpp"
 #include "pcn/sim/sim_time.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/sim/update_policy.hpp"
 
-#include "pcn/trace/event_log.hpp"
 #include "pcn/trace/scripted_mobility.hpp"
 
 #include "pcn/baselines/baseline_models.hpp"

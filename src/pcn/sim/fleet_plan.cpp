@@ -73,10 +73,6 @@ bool FleetPlan::build(Network& net, std::string* why) {
     return false;
   };
   const NetworkConfig& config = net.config();
-  if (net.observer_ != nullptr) {
-    return fail("an observer is attached (callbacks pin the reference "
-                "slot-major order)");
-  }
   if (config.update_loss_prob > 0.0) {
     return fail("update_loss_prob > 0 injects extra RNG draws");
   }

@@ -4,10 +4,10 @@
 // The engine accepts only the paper's canonical configuration: every
 // attached terminal has RandomWalk mobility, DistanceUpdatePolicy and SDF
 // (or matching plan-partition) paging over fixed-disk knowledge, with no
-// observer and no loss injection.  FleetPlan::build verifies that and
-// flattens the per-terminal constants (rates, threshold, frame-byte
-// constants) into plain arrays, pre-resolving each distinct paging
-// partition into a lookup table indexed by polling cycle.  Every fleet it
+// loss injection.  FleetPlan::build verifies that and flattens the
+// per-terminal constants (rates, threshold, frame-byte constants) into
+// plain arrays, pre-resolving each distinct paging partition into a
+// lookup table indexed by polling cycle.  Every fleet it
 // rejects runs on the reference engine instead, which evaluates the same
 // draw contract (stats::SlotDraws) — so a rejection changes speed, never
 // results.

@@ -175,14 +175,9 @@ void Network::run(std::int64_t slots) {
     run_segment(now_ + 1, range_end, scratch);
     now_ = range_end;
     if (timeseries_ != nullptr) {
-      // The inline scratch tally is the only state not yet flushed (shard
-      // workers flush at segment end); fold it in so the sample at this
-      // slot reflects every completed slot exactly.
-      if (stats_ != nullptr) stats_->flush(scratch.tally, scratch.shard);
       timeseries_->sample(now_, registry_->snapshot());
     }
   }
-  if (stats_ != nullptr) stats_->flush(scratch.tally, scratch.shard);
 }
 
 int Network::resolved_threads() const {
@@ -217,10 +212,7 @@ void Network::run_segment(SimTime first, SimTime last, Scratch& scratch) {
   const int threads = resolved_threads();
   const std::int64_t work =
       (last - first + 1) * static_cast<std::int64_t>(attachments_.size());
-  // An attached observer forces the slot-major order so callbacks arrive in
-  // the documented (slot, terminal) sequence.
-  const bool inline_run = threads <= 1 || observer_ != nullptr ||
-                          attachments_.size() < 2 ||
+  const bool inline_run = threads <= 1 || attachments_.size() < 2 ||
                           work < kParallelWorkFloor;
   std::optional<obs::ScopedTimer> segment_timer;
   if (stats_ != nullptr) {
@@ -228,12 +220,9 @@ void Network::run_segment(SimTime first, SimTime last, Scratch& scratch) {
     if (!inline_run) stats_->segment_parallel.increment();
     segment_timer.emplace(stats_->segment_wall_ns);
   }
-  if (simd_ == nullptr && inline_run) {
-    for (SimTime t = first; t <= last; ++t) process_slot(t, scratch);
-    return;
-  }
   // Shard s covers attachments [n*s/shards, n*(s+1)/shards) on worker s
   // with telemetry shard s; worker 0 is this thread and uses `scratch`.
+  // One shard runs inline on this thread (ShardPool starts no worker).
   const std::size_t n = attachments_.size();
   const std::size_t shards =
       inline_run ? 1
@@ -261,8 +250,8 @@ void Network::run_shard(std::size_t begin, std::size_t end, SimTime first,
     shard_timer.emplace(stats_->shard_wall_ns, scratch.shard);
   }
   // Terminal-major: each terminal's whole slot range in one pass.  Because
-  // terminals share no mutable state, this produces exactly the metrics of
-  // the slot-major order, with better locality and no synchronization.
+  // terminals share no mutable state, the metrics do not depend on how the
+  // fleet is split into shards, and shards need no synchronization.
   for (std::size_t i = begin; i < end; ++i) {
     Attachment& attachment = attachments_[i];
     for (SimTime t = first; t <= last; ++t) {
@@ -272,19 +261,9 @@ void Network::run_shard(std::size_t begin, std::size_t end, SimTime first,
   if (stats_ != nullptr) {
     scratch.tally.terminal_slots +=
         (last - first + 1) * static_cast<std::int64_t>(end - begin);
-    // Flush here, not just at run() end: worker-local scratches die with
-    // the segment.
+    // Flush per segment: worker-local scratches die with it, and a
+    // timeseries sample may follow it.
     stats_->flush(scratch.tally, scratch.shard);
-  }
-}
-
-void Network::process_slot(SimTime now, Scratch& scratch) {
-  for (Attachment& attachment : attachments_) {
-    process_terminal(attachment, now, scratch);
-  }
-  if (stats_ != nullptr) {
-    scratch.tally.terminal_slots +=
-        static_cast<std::int64_t>(attachments_.size());
   }
 }
 
@@ -312,14 +291,10 @@ void Network::process_terminal(Attachment& attachment, SimTime now,
   const bool moved = draw.moved;
 
   if (moved) {
-    const geometry::Cell from = terminal.position();
-    terminal.move_to(
-        terminal.mobility().move_target(from, now, draw.neighbor));
+    terminal.move_to(terminal.mobility().move_target(terminal.position(),
+                                                     now, draw.neighbor));
     ++metrics.moves;
     if (stats_ != nullptr) ++scratch.tally.moves;
-    if (observer_ != nullptr) {
-      observer_->on_move(terminal.id(), now, from, terminal.position());
-    }
   }
   terminal.update_policy().on_slot(terminal.position(), moved, now);
   if (terminal.update_policy().update_due(terminal.position(), now)) {
@@ -331,9 +306,6 @@ void Network::process_terminal(Attachment& attachment, SimTime now,
   metrics.ring_distance.add(static_cast<int>(geometry::cell_distance(
       config_.dimension, terminal.position(),
       server_.knowledge(terminal.id()).center)));
-  if (observer_ != nullptr) {
-    observer_->on_slot_end(terminal.id(), now, terminal.position());
-  }
 }
 
 void Network::send_update(Attachment& attachment, SimTime now,
@@ -409,9 +381,6 @@ void Network::send_update(Attachment& attachment, SimTime now,
         server_.knowledge(terminal.id()).radius);
     attachment.metrics.update_bytes +=
         static_cast<std::int64_t>(proto::encoded_size(message));
-  }
-  if (observer_ != nullptr) {
-    observer_->on_update(terminal.id(), now, terminal.position());
   }
 }
 
@@ -595,10 +564,6 @@ void Network::deliver_call(Attachment& attachment, SimTime now,
   terminal.update_policy().on_center_reset(terminal.position(), now);
   if (const auto radius = terminal.update_policy().containment_radius()) {
     server_.set_radius(terminal.id(), *radius);
-  }
-  if (observer_ != nullptr) {
-    observer_->on_call(terminal.id(), now, terminal.position(), cycles_used,
-                       metrics.polled_cells - polled_before);
   }
 }
 

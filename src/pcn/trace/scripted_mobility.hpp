@@ -1,11 +1,12 @@
 // Deterministic trace replay.
 //
-// ScriptedMobility replays a recorded slot-by-slot trajectory (e.g. from
-// EventLog::trajectory) through the MobilityModel interface: the slot loop
-// draws its move event with probability 1 exactly when the script changes
-// cells, and the move target is the scripted cell.  This lets one captured
-// mobility trace be re-run under different update/paging policies for
-// like-for-like comparisons.
+// ScriptedMobility replays a recorded slot-by-slot trajectory (a
+// terminal's position() read after each run(1) step) through the
+// MobilityModel interface: the slot loop draws its move event with
+// probability 1 exactly when the script changes cells, and the move
+// target is the scripted cell.  This lets one captured mobility trace be
+// re-run under different update/paging policies for like-for-like
+// comparisons.
 //
 // Replay dictates moves deterministically, so it must run under
 // SlotSemantics::kIndependent (chain-faithful semantics suppresses the

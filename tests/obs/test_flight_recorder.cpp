@@ -2,7 +2,8 @@
 // the (slot, terminal, seq) merge order, and the two simulator-level
 // guarantees the subsystem is built on — TerminalMetrics stay bit-identical
 // with recording on or off at any thread count, and the exported trace is
-// byte-identical at 1 and 4 worker threads (see docs/observability.md).
+// byte-identical at 1 and 4 worker threads (see docs/observability.md) —
+// plus a full recording's per-terminal agreement with TerminalMetrics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -212,6 +213,68 @@ TEST(FlightRecorderNetworkTest, ExportByteIdenticalAcrossThreadCounts) {
     exports.push_back(to_trace_jsonl(meta, recorder->merged()));
   }
   EXPECT_EQ(exports[0], exports[1]);
+}
+
+TEST(FlightRecorderNetworkTest, FullRecordingAccountsForEveryEvent) {
+  // With every lifecycle recorded, each terminal's events add up to its
+  // own TerminalMetrics — calls, polled cells, updates (delivered + lost)
+  // and fallbacks — and a call found inside the schedule used at most the
+  // terminal's delay bound.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    sim::NetworkConfig config = make_config(true, threads, 1);
+    config.flight_shard_capacity = std::size_t{1} << 18;
+    sim::Network network(config, kWeights);
+    const std::vector<sim::TerminalId> ids = add_mixed_fleet(network);
+    network.run(kSlots);
+    const FlightRecorder* recorder = network.flight_recorder();
+    ASSERT_EQ(recorder->dropped(), 0u);
+
+    struct Tally {
+      std::int64_t calls = 0, polled = 0, updates = 0, lost = 0,
+                   fallbacks = 0;
+    };
+    std::vector<Tally> tallies(ids.size());
+    for (const FlightEvent& event : recorder->merged()) {
+      Tally& tally = tallies[static_cast<std::size_t>(event.terminal)];
+      switch (event.type) {
+        case FlightEventType::kCallFound: {
+          ++tally.calls;
+          tally.polled += event.cells;
+          EXPECT_GE(event.cycle, 1);
+          const DelayBound bound =
+              network.paging_policy(event.terminal).delay_bound();
+          if (event.found && !bound.is_unbounded()) {
+            EXPECT_LE(event.cycle, bound.cycles());
+          }
+          break;
+        }
+        case FlightEventType::kLocationUpdate:
+          ++tally.updates;
+          break;
+        case FlightEventType::kUpdateLost:
+          ++tally.updates;
+          ++tally.lost;
+          break;
+        case FlightEventType::kPageFallback:
+          ++tally.fallbacks;
+          break;
+        default:
+          break;
+      }
+    }
+    for (const sim::TerminalId id : ids) {
+      SCOPED_TRACE(::testing::Message() << "terminal " << id);
+      const sim::TerminalMetrics& metrics = network.metrics(id);
+      const Tally& tally = tallies[static_cast<std::size_t>(id)];
+      EXPECT_GT(tally.calls, 0);
+      EXPECT_EQ(tally.calls, metrics.calls);
+      EXPECT_EQ(tally.polled, metrics.polled_cells);
+      EXPECT_EQ(tally.updates, metrics.updates);
+      EXPECT_EQ(tally.lost, metrics.lost_updates);
+      EXPECT_EQ(tally.fallbacks, metrics.paging_failures);
+    }
+  }
 }
 
 TEST(FlightRecorderNetworkTest, SamplingThinsTheRecording) {

@@ -1,16 +1,16 @@
-// Property suite: trace round-trips.  Recording a fleet with EventLog and
-// replaying every trajectory through ScriptedMobility (same network seed,
-// same attach order) must reproduce *identical* metrics — the event and
-// walk RNG streams are split per purpose, so scripting the walk leaves
-// the call stream untouched — and the replay must survive the sharded
-// parallel path unchanged (scripted fleets are still lock-free terminals).
+// Property suite: trace round-trips.  Recording a fleet's trajectories
+// (record_trajectories) and replaying each through ScriptedMobility (same
+// network seed, same attach order) must reproduce *identical* metrics —
+// the event and walk RNG streams are split per purpose, so scripting the
+// walk leaves the call stream untouched — and the replay must survive the
+// sharded parallel path unchanged (scripted fleets are still lock-free
+// terminals).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "pcn/trace/event_log.hpp"
 #include "pcn/trace/scripted_mobility.hpp"
 #include "support/fleet.hpp"
 #include "support/property.hpp"
@@ -28,28 +28,18 @@ ScenarioLimits replay_limits() {
 }
 
 std::optional<std::string> check_replay_round_trip(const Scenario& scenario) {
-  // Record: an observer forces the source run single-threaded, which is
-  // exactly what gives ScriptedMobility a stable slot-by-slot trajectory.
   sim::NetworkConfig config{scenario.dim, sim::SlotSemantics::kIndependent,
                             scenario.seed};
+  config.engine = sim::SimEngine::kReference;
   sim::Network source(config, scenario.weights);
-  trace::EventLog recording;
-  source.set_observer(&recording);
   std::vector<sim::TerminalId> ids;
   for (int i = 0; i < kTerminals; ++i) {
     ids.push_back(source.add_terminal(
         sim::make_distance_terminal(scenario.dim, scenario.profile,
                                     scenario.threshold, scenario.bound)));
   }
-  source.run(kSlots);
-
-  std::vector<std::vector<geometry::Cell>> trajectories;
-  for (const sim::TerminalId id : ids) {
-    trajectories.push_back(recording.trajectory(id));
-    if (trajectories.back().size() != static_cast<std::size_t>(kSlots)) {
-      return std::optional<std::string>("trajectory length != slots run");
-    }
-  }
+  const std::vector<std::vector<geometry::Cell>> trajectories =
+      record_trajectories(source, ids, kSlots);
 
   const auto replay = [&](int threads) {
     sim::NetworkConfig replay_config = config;

@@ -441,14 +441,12 @@ TEST(SimdEngine, AutoSelectsSimdForCanonicalFleets) {
 struct Fallback {
   const char* name;
   void (*tweak)(NetworkConfig&);
-  bool observer = false;
 };
 
 const Fallback kLoss{"loss injection",
                      [](NetworkConfig& c) { c.update_loss_prob = 0.1; }};
 const Fallback kFlight{"flight recording",
                        [](NetworkConfig& c) { c.record_flight = true; }};
-const Fallback kObserver{"observer", [](NetworkConfig&) {}, true};
 const Fallback kNoChange{"none", [](NetworkConfig&) {}};
 
 /// Whether the SIMD engine ran, and the metrics, of a 20-terminal
@@ -459,8 +457,6 @@ std::pair<bool, std::vector<TerminalMetrics>> run_fallback(
       Dimension::kTwoD, SlotSemantics::kChainFaithful, engine, 2);
   fallback.tweak(config);
   Network network(config, kWeights);
-  NetworkObserver observer;
-  if (fallback.observer) network.set_observer(&observer);
   const std::vector<TerminalId> ids =
       add_canonical_fleet(network, Dimension::kTwoD, 20);
   network.run(2000);
@@ -470,7 +466,7 @@ std::pair<bool, std::vector<TerminalMetrics>> run_fallback(
 TEST(SimdEngine, AutoFallsBackToTheIdenticalReferenceEngine) {
   // Each fallback case runs on the reference engine, whose results the
   // lane engine would have matched — so falling back changes nothing.
-  for (const Fallback& fallback : {kLoss, kFlight, kObserver}) {
+  for (const Fallback& fallback : {kLoss, kFlight}) {
     SCOPED_TRACE(fallback.name);
     const auto [active, auto_run] = run_fallback(SimEngine::kAuto, fallback);
     EXPECT_FALSE(active);

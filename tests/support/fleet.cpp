@@ -1,5 +1,7 @@
 #include "support/fleet.hpp"
 
+#include "pcn/common/error.hpp"
+
 namespace pcn::proptest {
 namespace {
 
@@ -80,6 +82,25 @@ FleetMetrics run_distance_fleet_aggregate(const Scenario& scenario,
     aggregate.accumulate(metrics);
   }
   return aggregate;
+}
+
+std::vector<std::vector<geometry::Cell>> record_trajectories(
+    sim::Network& network, const std::vector<sim::TerminalId>& ids,
+    std::int64_t slots) {
+  PCN_EXPECT(network.config().engine == sim::SimEngine::kReference,
+             "record_trajectories: the network must run the reference "
+             "engine");
+  std::vector<std::vector<geometry::Cell>> trajectories(ids.size());
+  for (auto& trajectory : trajectories) {
+    trajectory.reserve(static_cast<std::size_t>(slots));
+  }
+  for (std::int64_t slot = 0; slot < slots; ++slot) {
+    network.run(1);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      trajectories[i].push_back(network.terminal(ids[i]).position());
+    }
+  }
+  return trajectories;
 }
 
 bool metrics_identical(const sim::TerminalMetrics& a,

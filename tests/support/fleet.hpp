@@ -51,6 +51,15 @@ FleetMetrics run_distance_fleet_aggregate(const Scenario& scenario,
                                           int threads, int terminals,
                                           std::int64_t slots_per_terminal);
 
+/// Steps `network` one run(1) at a time for `slots` slots and returns, per
+/// terminal in `ids`, its cell at the end of each of those slots — the
+/// trajectory trace::ScriptedMobility replays.  The network must run
+/// SimEngine::kReference, so no run(1) builds a SIMD fleet plan; both
+/// engines produce the same walk.
+std::vector<std::vector<geometry::Cell>> record_trajectories(
+    sim::Network& network, const std::vector<sim::TerminalId>& ids,
+    std::int64_t slots);
+
 /// Exact equality of every field the simulator reports, histograms
 /// included — the thread-determinism check.
 bool metrics_identical(const sim::TerminalMetrics& a,

@@ -59,22 +59,32 @@ TEST(Umbrella, EveryModuleIsReachable) {
   const pcn::cli::Args args = pcn::cli::Args::parse(4, argv);
   EXPECT_EQ(args.command(), "plan");
 
-  // core + sim + trace, end to end
+  // core + sim + obs, end to end
   const pcn::core::LocationManager manager(pcn::Dimension::kTwoD, profile,
                                            weights);
   const pcn::core::LocationPlan plan = manager.plan(pcn::DelayBound(2));
-  pcn::sim::Network network(
-      pcn::sim::NetworkConfig{pcn::Dimension::kTwoD,
-                              pcn::sim::SlotSemantics::kChainFaithful, 1},
-      weights);
-  pcn::trace::EventLog log(/*record_slot_ends=*/false);
-  network.set_observer(&log);
+  pcn::sim::NetworkConfig config{pcn::Dimension::kTwoD,
+                                 pcn::sim::SlotSemantics::kChainFaithful, 1};
+  config.record_flight = true;
+  config.flight_sample_every = 1;
+  pcn::sim::Network network(config, weights);
   const pcn::sim::TerminalId id =
       network.add_terminal(manager.make_terminal_spec(plan));
   network.run(2000);
   EXPECT_EQ(network.metrics(id).slots, 2000);
-  EXPECT_EQ(log.count(pcn::trace::EventKind::kUpdate),
-            network.metrics(id).updates);
+  std::int64_t updates = 0;
+  for (const pcn::obs::FlightEvent& event :
+       network.flight_recorder()->merged()) {
+    if (event.type == pcn::obs::FlightEventType::kLocationUpdate) ++updates;
+  }
+  EXPECT_EQ(network.flight_recorder()->dropped(), 0u);
+  EXPECT_EQ(updates, network.metrics(id).updates);
+
+  // trace: a scripted walk replays through the same simulator
+  const pcn::trace::ScriptedMobility walk(pcn::Dimension::kTwoD,
+                                          pcn::geometry::Cell{},
+                                          {pcn::geometry::Cell{1, 0}});
+  EXPECT_DOUBLE_EQ(walk.move_probability(1), 1.0);
 }
 
 }  // namespace

@@ -4,12 +4,21 @@
 
 #include "pcn/common/error.hpp"
 #include "pcn/sim/network.hpp"
-#include "pcn/trace/event_log.hpp"
+#include "support/fleet.hpp"
 
 namespace pcn::trace {
 namespace {
 
 using geometry::Cell;
+
+/// Independent semantics (replay requires it) on the reference engine
+/// (record_trajectories requires it).
+sim::NetworkConfig trace_config(std::uint64_t seed) {
+  sim::NetworkConfig config{Dimension::kTwoD,
+                            sim::SlotSemantics::kIndependent, seed};
+  config.engine = sim::SimEngine::kReference;
+  return config;
+}
 
 TEST(ScriptedMobility, MoveProbabilityFollowsTheScript) {
   // Start at origin; slot 1 moves to (1,0), slot 2 stays, slot 3 moves on.
@@ -53,36 +62,25 @@ TEST(ScriptedReplay, ReproducesARecordedTrajectoryExactly) {
   constexpr CostWeights kWeights{50.0, 2.0};
   constexpr std::int64_t kSlots = 3000;
 
-  // Record a run under independent semantics (replay requires it).
-  sim::Network source(
-      sim::NetworkConfig{Dimension::kTwoD,
-                         sim::SlotSemantics::kIndependent, 99},
-      kWeights);
-  EventLog recording;
-  source.set_observer(&recording);
+  // Record a run under independent semantics.
+  sim::Network source(trace_config(99), kWeights);
   const sim::TerminalId id = source.add_terminal(
       sim::make_distance_terminal(Dimension::kTwoD, kProfile, 3,
                                   DelayBound(2)));
-  source.run(kSlots);
-  const std::vector<Cell> trajectory = recording.trajectory(id);
+  const std::vector<Cell> trajectory =
+      proptest::record_trajectories(source, {id}, kSlots).front();
   ASSERT_EQ(trajectory.size(), static_cast<std::size_t>(kSlots));
 
   // Replay the exact trajectory under a *different* policy.
-  sim::Network replay(
-      sim::NetworkConfig{Dimension::kTwoD,
-                         sim::SlotSemantics::kIndependent, 4242},
-      kWeights);
-  EventLog verification;
-  replay.set_observer(&verification);
+  sim::Network replay(trace_config(4242), kWeights);
   sim::TerminalSpec spec = sim::make_distance_terminal(
       Dimension::kTwoD, kProfile, 5, DelayBound(3));
   spec.mobility =
       std::make_unique<ScriptedMobility>(Dimension::kTwoD, Cell{},
                                          trajectory);
   const sim::TerminalId replay_id = replay.add_terminal(std::move(spec));
-  replay.run(kSlots);
-
-  const std::vector<Cell> replayed = verification.trajectory(replay_id);
+  const std::vector<Cell> replayed =
+      proptest::record_trajectories(replay, {replay_id}, kSlots).front();
   ASSERT_EQ(replayed.size(), trajectory.size());
   for (std::size_t k = 0; k < trajectory.size(); ++k) {
     ASSERT_EQ(replayed[k], trajectory[k]) << "slot " << k + 1;
@@ -97,17 +95,12 @@ TEST(ScriptedReplay, DifferentPoliciesOnTheSameTraceAreComparable) {
   constexpr CostWeights kWeights{100.0, 10.0};
   constexpr std::int64_t kSlots = 20000;
 
-  sim::Network source(
-      sim::NetworkConfig{Dimension::kTwoD,
-                         sim::SlotSemantics::kIndependent, 7},
-      kWeights);
-  EventLog recording;
-  source.set_observer(&recording);
+  sim::Network source(trace_config(7), kWeights);
   const sim::TerminalId id = source.add_terminal(
       sim::make_distance_terminal(Dimension::kTwoD, kProfile, 3,
                                   DelayBound(2)));
-  source.run(kSlots);
-  const std::vector<Cell> trajectory = recording.trajectory(id);
+  const std::vector<Cell> trajectory =
+      proptest::record_trajectories(source, {id}, kSlots).front();
 
   auto replay_cost = [&](int threshold) {
     sim::Network replay(
